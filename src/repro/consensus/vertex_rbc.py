@@ -196,14 +196,6 @@ class VertexRbc:
         self._vertex_responder = Responder(
             node_id, network, self._lookup_vertex, channel="vertex"
         )
-        # ECHO/READY are the n²-per-round fan-out messages and their handlers
-        # retain only field values (signer sets, signatures, digests), never
-        # the message object — so both classes satisfy the arena's pooling
-        # contract.  CERT does not: _on_cert rebroadcasts the same object.
-        self._arena = getattr(network, "arena", None)
-        if self._arena is not None:
-            self._arena.register(VertexEchoMsg)
-            self._arena.register(VertexReadyMsg)
         #: Accountability: transferable equivocation proofs from signed VALs.
         self.evidence = EvidencePool()
         #: Forensics hook fired when a conflicting digest for an (origin,
@@ -225,31 +217,6 @@ class VertexRbc:
             if cfg.is_block_proposer(origin):
                 state.clan = cfg.clan(cfg.block_clan_of(origin))
         return state
-
-    def _make_echo(
-        self, origin: NodeId, round_: Round, digest_: bytes, signature
-    ) -> VertexEchoMsg:
-        arena = self._arena
-        if arena is not None:
-            msg = arena.acquire(VertexEchoMsg)
-            if msg is not None:
-                msg.origin = origin
-                msg.round = round_
-                msg.vertex_digest = digest_
-                msg.signature = signature
-                return msg
-        return VertexEchoMsg(origin, round_, digest_, signature)
-
-    def _make_ready(self, origin: NodeId, round_: Round, digest_: bytes) -> VertexReadyMsg:
-        arena = self._arena
-        if arena is not None:
-            msg = arena.acquire(VertexReadyMsg)
-            if msg is not None:
-                msg.origin = origin
-                msg.round = round_
-                msg.vertex_digest = digest_
-                return msg
-        return VertexReadyMsg(origin, round_, digest_)
 
     def _serves_block(self, origin: NodeId, round_: Round) -> bool:
         """Is this node in the proposer's clan (receives/executes its blocks)?"""
@@ -507,7 +474,7 @@ class VertexRbc:
         signature = None
         if self.mode == "two-round":
             signature = self._key.sign(vertex_echo_statement(origin, round_, vdigest))
-        echo = self._make_echo(origin, round_, vdigest, signature)
+        echo = VertexEchoMsg(origin, round_, vdigest, signature)
         # Quorum-phase broadcasts are stamped only at sample=1.0: in sampled
         # mode each stamp would route an n-wide broadcast down the traced
         # slow path per sampled vertex, and the causal tree is already
@@ -594,7 +561,7 @@ class VertexRbc:
         else:
             if state.ready_digest is None:
                 state.ready_digest = digest_
-                ready = self._make_ready(origin, round_, digest_)
+                ready = VertexReadyMsg(origin, round_, digest_)
                 if state.ctx is not None and self.tracer.verbose:
                     ready.trace_ctx = state.ctx
                 self.network.broadcast(self.node_id, ready)
@@ -642,7 +609,7 @@ class VertexRbc:
             # delivered digest — every fast-path deliverer does, so the
             # laggard completes even if it was the only one to fall back.
             state.ready_digest = state.quorum_digest
-            ready = self._make_ready(msg.origin, msg.round, state.quorum_digest)
+            ready = VertexReadyMsg(msg.origin, msg.round, state.quorum_digest)
             if state.ctx is not None and self.tracer.verbose:
                 ready.trace_ctx = state.ctx
             self.network.broadcast(self.node_id, ready)
@@ -653,7 +620,7 @@ class VertexRbc:
         count = len(supporters)
         if count >= self._amplify and state.ready_digest is None:
             state.ready_digest = msg.vertex_digest
-            ready = self._make_ready(msg.origin, msg.round, msg.vertex_digest)
+            ready = VertexReadyMsg(msg.origin, msg.round, msg.vertex_digest)
             if state.ctx is not None and self.tracer.verbose:
                 ready.trace_ctx = state.ctx
             self.network.broadcast(self.node_id, ready)

@@ -48,68 +48,3 @@ class Message:
         """Short human-readable tag, used in stats and logs."""
         return type(self).__name__
 
-
-class MessageArena:
-    """Per-class freelists for short-lived fan-out messages.
-
-    The network retires a pooled message once every copy of it is provably
-    delivered (its arrival-time upper bound lies strictly in the simulated
-    past), after which protocol code may reuse the object for its next send
-    instead of allocating a fresh one — steady-state sends of the hottest
-    message classes then allocate nothing.
-
-    Contract for pooling a class:
-
-    * handlers must not retain the message *object* beyond the handler call
-      (retaining fields pulled out of it — signatures, digests — is fine);
-    * a given object is broadcast at most once per acquire (re-broadcasting
-      the same object, as CERT forwarding does, disqualifies the class).
-
-    The owning network only creates an arena when delivery bounds are known
-    and nothing observes message identity across deliveries — in particular
-    never under ``REPRO_SANITIZE=1``, whose freeze-after-send guard keys on
-    ``id(msg)``.
-    """
-
-    __slots__ = ("pools", "limit", "hits", "misses", "released")
-
-    def __init__(self, limit: int = 256) -> None:
-        #: class -> free instances; registration marks a class as pooled.
-        self.pools: dict[type, list] = {}
-        #: Per-class cap on retained free instances.
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-        self.released = 0
-
-    def register(self, cls: type) -> None:
-        """Mark ``cls`` as pooled (idempotent)."""
-        self.pools.setdefault(cls, [])
-
-    def acquire(self, cls: type):
-        """A free instance of ``cls`` to refill, or None to allocate fresh."""
-        pool = self.pools.get(cls)
-        if pool:
-            self.hits += 1
-            return pool.pop()
-        self.misses += 1
-        return None
-
-    def release(self, msg: Message) -> None:
-        """Return a retired message to its pool (unknown classes ignored)."""
-        pool = self.pools.get(msg.__class__)
-        if pool is not None and len(pool) < self.limit:
-            # The wire-size memo is content-dependent; drop it so the next
-            # acquire recomputes for the refilled fields.  The trace context
-            # must go too: a recycled object must not smuggle the previous
-            # send's causal identity onto an unsampled message.
-            try:
-                del msg._wire_size_memo
-            except AttributeError:
-                pass
-            try:
-                del msg.trace_ctx
-            except AttributeError:
-                pass
-            pool.append(msg)
-            self.released += 1

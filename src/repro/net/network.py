@@ -28,7 +28,7 @@ from .adversary import DelayAdversary
 from .cpu import CpuModel
 from .faults import LinkFault
 from .latency import LatencyModel, UniformLatencyModel
-from .message import Message, MessageArena
+from .message import Message
 
 Handler = Callable[[NodeId, Message], None]
 
@@ -143,27 +143,11 @@ class Network:
             and sim.tie_audit is None
             and (self._latency_table is not None or self._jitter_params is not None)
         )
-        # Message arena: only when the arrival-time upper bound per transmit
-        # is computable (built-in latency models, no adversarial delay) and
-        # nothing observes message identity across deliveries (no freeze
-        # sanitizer, no CPU-queue requeue).  `_retire` is a min-heap of
-        # (retire_at, seq, msg): once sim time passes retire_at, every copy
-        # of msg has been delivered and the object returns to the pool.
-        self.arena: MessageArena | None = None
-        self._retire: list | None = None
-        self._retire_seq = 0
-        self._max_delay: list[float] | None = None
-        if self._plain and self._inline:
-            if self._latency_table is not None:
-                self._max_delay = [max(row) + 1e-9 for row in self._latency_table]
-            else:
-                jmode, jdata, jit, _ = self._jitter_params
-                if jmode == "mul":
-                    self._max_delay = [max(row) * (1.0 + jit) + 1e-9 for row in jdata]
-                else:
-                    self._max_delay = [jdata + jit + 1e-9] * n
-            self.arena = MessageArena()
-            self._retire = []
+        # Multicasts additionally schedule their remote copies as one fan-out
+        # cursor (Simulator.post_fan) instead of one calendar entry each.
+        # Lossy links keep the per-copy path: fault draws interleave with
+        # the copies and may drop or duplicate them.
+        self._fan_out = self._inline and faults is None
 
     @property
     def freeze_guard(self):
@@ -269,7 +253,10 @@ class Network:
         # end, the latency model's delay expression is inlined (identical
         # float math and RNG draw order — see LatencyModel.jitter_params),
         # and delivery events are appended directly into the simulator's
-        # calendar buckets instead of going through `sim.post`.
+        # calendar buckets instead of going through `sim.post`.  On a
+        # multicast, remote copies whose arrival instant has no bucket yet
+        # are collected and handed to `sim.post_fan` as one cursor; that is
+        # exactly the copy set the scheduler's tie invariant admits.
         if self._crashed[src]:
             return
         if self._freeze is not None:
@@ -278,21 +265,14 @@ class Network:
             self._trace_all or getattr(msg, "trace_ctx", None) is not None
         ):
             # Arrival times are identical on both paths (same inlined delay
-            # expression, same RNG draw order, same bucket structure), so
+            # expression, same RNG draw order), and buckets and fan-out
+            # cursors execute in the same global insertion order, so
             # routing per-message by sampling decision cannot perturb the
             # run — RunMetrics stays bit-identical at any sample rate.
             self._transmit_traced(src, dsts, msg)
             return
         sim = self.sim
         now = sim.now
-        retire = self._retire
-        if retire and retire[0][0] < now:
-            # Every copy of these messages has an arrival bound strictly in
-            # the past: all deliveries ran, the objects are free to reuse.
-            release = self.arena.release
-            pop = heapq.heappop
-            while retire and retire[0][0] < now:
-                release(pop(retire)[2])
         size = msg.wire_size_cached()
         stats = self.stats
         per_byte = self._bytes_per_sec
@@ -309,6 +289,11 @@ class Network:
         delay = self.latency.delay
         deliver = self._deliver_fast if self._plain else self._deliver
         inline = self._inline
+        if self._fan_out and len(dsts) > 1:
+            fan_times: list[float] | None = []
+            fan_dsts: list[NodeId] = []
+        else:
+            fan_times = None
         if inline:
             buckets = sim._buckets
             times = sim._times
@@ -325,7 +310,7 @@ class Network:
                 # but still event-driven so ordering semantics match remote
                 # deliveries.
                 count += 1
-                payload = (src, dst, msg, size)
+                payload = (dst, src, msg, size)
                 if inline:
                     bucket = buckets.get(now)
                     if bucket is None:
@@ -359,7 +344,7 @@ class Network:
                         arrive = clock + jadd + rand() * jit
                     else:
                         arrive = clock + delay(src, dst)
-                    payload = (src, dst, msg, size)
+                    payload = (dst, src, msg, size)
                     if inline:
                         bucket = buckets.get(arrive)
                         if bucket is None:
@@ -381,18 +366,28 @@ class Network:
                 arrive = clock + jadd + rand() * jit
             else:
                 arrive = clock + delay(src, dst)
-            payload = (src, dst, msg, size)
             if inline:
                 bucket = buckets.get(arrive)
-                if bucket is None:
-                    buckets[arrive] = [(deliver, payload)]
-                    push(times, arrive)
+                if bucket is not None:
+                    bucket.append((deliver, (dst, src, msg, size)))
+                elif fan_times is not None and arrive > now:
+                    fan_times.append(arrive)
+                    fan_dsts.append(dst)
                 else:
-                    bucket.append((deliver, payload))
+                    buckets[arrive] = [(deliver, (dst, src, msg, size))]
+                    push(times, arrive)
             else:
                 if extra_delay is not None:
                     arrive += extra_delay(src, dst, msg, now)
-                post(arrive, deliver, payload)
+                post(arrive, deliver, (dst, src, msg, size))
+        if fan_times:
+            if len(fan_times) > 1:
+                sim.post_fan(deliver, fan_times, fan_dsts, (src, msg, size))
+            else:
+                # A lone remote copy is cheaper as a plain bucket entry.  No
+                # bucket can have appeared at its instant since it was sent:
+                # a later copy landing there would have joined the fan too.
+                sim.post(fan_times[0], deliver, (fan_dsts[0], src, msg, size))
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count
@@ -400,14 +395,6 @@ class Network:
                 kind = msg.kind()
                 stats.bytes_by_kind[kind] += size * count
                 stats.messages_by_kind[kind] += count
-            if retire is not None and msg.__class__ in self.arena.pools:
-                # Last copy leaves the NIC at `clock`; the slowest link adds
-                # at most _max_delay[src].  Past that instant the object is
-                # unreachable from the event queue.
-                self._retire_seq += 1
-                heapq.heappush(
-                    retire, (clock + self._max_delay[src], self._retire_seq, msg)
-                )
         self._nic_free_at[src] = clock
 
     def _transmit_traced(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
@@ -437,7 +424,7 @@ class Network:
                 stats.bytes_by_kind[kind] += size
                 stats.messages_by_kind[kind] += 1
             if dst == src:
-                sim.post(now, self._deliver, (src, dst, msg, size, (now, 0.0, 0.0, 0.0)))
+                sim.post(now, self._deliver, (dst, src, msg, size, (now, 0.0, 0.0, 0.0)))
                 continue
             nic_wait = clock - now
             tx = 0.0
@@ -458,11 +445,11 @@ class Network:
                 prop += self.adversary.extra_delay(src, dst, msg, now)
                 arrive = clock + prop
                 sim.post(
-                    arrive, self._deliver, (src, dst, msg, size, (now, nic_wait, tx, prop))
+                    arrive, self._deliver, (dst, src, msg, size, (now, nic_wait, tx, prop))
                 )
         self._nic_free_at[src] = clock
 
-    def _deliver_fast(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
+    def _deliver_fast(self, dst: NodeId, src: NodeId, msg: Message, size: int) -> None:
         """Fused :meth:`_deliver` + :meth:`_handle` for the plain path.
 
         Used when no CPU model, no freeze sanitizer, and no tracer can
@@ -471,7 +458,9 @@ class Network:
         (:meth:`set_dispatch`) additionally skip their catch-all handler's
         isinstance chain.  Semantics match the slow pair exactly: crashed
         destinations drop silently, and a node with no handler receives
-        nothing (no stats recorded).
+        nothing (no stats recorded).  Arguments lead with ``dst`` (here and
+        in the slow pair) because a fan-out cursor calls ``fn(key, *args)``
+        with the destination as its key.
         """
         if self._crashed[dst]:
             return
@@ -489,7 +478,7 @@ class Network:
         handler(src, msg)
 
     def _deliver(
-        self, src: NodeId, dst: NodeId, msg: Message, size: int, meta: tuple | None = None
+        self, dst: NodeId, src: NodeId, msg: Message, size: int, meta: tuple | None = None
     ) -> None:
         if self._crashed[dst]:
             return
@@ -544,11 +533,11 @@ class Network:
                     cpu=cost,
                 )
         if done is not None:
-            self.sim.post(done, self._handle, (src, dst, msg, size))
+            self.sim.post(done, self._handle, (dst, src, msg, size))
             return
-        self._handle(src, dst, msg, size)
+        self._handle(dst, src, msg, size)
 
-    def _handle(self, src: NodeId, dst: NodeId, msg: Message, size: int) -> None:
+    def _handle(self, dst: NodeId, src: NodeId, msg: Message, size: int) -> None:
         if self._crashed[dst]:
             return
         if self._freeze is not None:

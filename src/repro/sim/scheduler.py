@@ -1,4 +1,4 @@
-"""Deterministic discrete-event scheduler (calendar-bucket queue).
+"""Deterministic discrete-event scheduler (calendar buckets + fan-out heap).
 
 Events live in per-timestamp *buckets*: a dict maps each distinct simulated
 time to the list of events scheduled for that instant, and a binary heap of
@@ -11,12 +11,27 @@ than the classic one-entry-per-heap-item design:
   heap pop + dict pop — so multicast bursts that land together (loopback
   deliveries, jitter-free links) bypass the heap entirely.
 
-Determinism is preserved without a sequence counter: within a bucket events
-run in insertion order, which is exactly the order the old monotonically
-increasing tie-breaker produced.  Events scheduled *at the current instant*
-from inside a callback go into a fresh bucket that is drained immediately
-after the active one — again matching the old heap's behaviour, where such
-events carried higher sequence numbers than everything already queued.
+Jittered multicasts defeat the batching: every copy lands at its own
+instant, so an ``n``-way multicast would cost ``n`` buckets and ``n`` heap
+round trips.  :meth:`Simulator.post_fan` schedules such a multicast as one
+*fan-out cursor* instead: its copies are sorted by arrival (stably, so equal
+times keep the caller's order) and a second heap, ``_fan``, holds one entry
+per in-flight multicast, advanced with ``heapreplace`` as each copy fires.
+
+Determinism is preserved without a per-event sequence counter: execution
+order is global insertion order at every instant.  Within a bucket events
+run in insertion order; events scheduled *at the current instant* from
+inside a callback go into a fresh bucket that is drained right after the
+active one.  The fan heap keeps the same order under one invariant:
+
+1. a copy joins a cursor only if its arrival is later than ``now`` and no
+   bucket exists at that instant when it is sent (otherwise it is appended
+   to the bucket, behind everything already there), and
+2. at equal time, every fan delivery runs before any bucket event; fan
+   deliveries at the same instant run by (multicast sequence, caller order).
+
+Every fan entry at time ``t`` was therefore inserted before any bucket at
+``t`` existed, so rule 2 reproduces insertion order exactly.
 
 The hot path (``post`` + ``run``) is deliberately lean — benchmark runs push
 millions of message-delivery events through it.  Tracing adds no per-event
@@ -26,13 +41,15 @@ work: the run loop is wrapped (not instrumented inside), and the per-run
 Cancelled events stay in their bucket (O(1) cancellation) but are *compacted*
 away once they dominate: timer-heavy workloads (one leader timer per node per
 round, almost always cancelled) would otherwise pay a per-dead-entry skip in
-the run loop and hold the dead args alive.
+the run loop and hold the dead args alive.  Fan-out copies are never
+cancellable.
 """
 
 from __future__ import annotations
 
 import heapq
 import time as _time
+from operator import length_hint
 from typing import Any, Callable
 
 from ..analysis import sanitizers as _sanitizers
@@ -101,6 +118,8 @@ class Simulator:
         "_now",
         "_times",
         "_buckets",
+        "_fan",
+        "_fan_seq",
         "_compact_check",
         "_stopped",
         "_processed",
@@ -119,6 +138,11 @@ class Simulator:
         #: ``schedule_at`` inserts cancellable ``[fn, args]`` lists; ``post``
         #: inserts bare ``(fn, args)`` tuples (no handle, no cancellation).
         self._buckets: dict[float, list] = {}
+        #: Min-heap of fan-out cursors, one per in-flight multicast (see
+        #: :meth:`post_fan`).  Each cursor is a list ``[when, seq, later
+        #: times, keys, fn, args]``, updated in place as it advances.
+        self._fan: list[list] = []
+        self._fan_seq = 0
         self._stopped = False
         self._processed = 0
         self._cancelled = 0
@@ -165,7 +189,9 @@ class Simulator:
         Computed on demand: the insertion path deliberately maintains no
         counter (millions of inserts per run, rare reads of this property).
         """
-        return sum(len(bucket) for bucket in self._buckets.values())
+        return sum(len(bucket) for bucket in self._buckets.values()) + sum(
+            length_hint(cursor[3]) for cursor in self._fan
+        )
 
     @property
     def cancelled_pending(self) -> int:
@@ -219,6 +245,35 @@ class Simulator:
             bucket.append((fn, args))
         if self._audit is not None:
             self._audit.note(when, fn)
+
+    def post_fan(
+        self, fn: Callable[..., Any], times: list[float], keys: list, args: tuple
+    ) -> None:
+        """Schedule ``fn(keys[i], *args)`` at ``times[i]`` for every ``i`` as
+        one fan-out cursor: a single heap entry for the whole multicast.
+
+        Copies run in time order; equal times keep their order in ``keys``.
+        The caller guarantees the tie invariant of the module docstring:
+        every time is later than :attr:`now` and had no bucket when the copy
+        was sent.  Per copy the cursor holds just a float and a key — no
+        event tuple — which keeps wide multicasts cheap for the allocator
+        and the garbage collector alike.
+        """
+        if self._audit is not None:
+            for when in times:
+                self._audit.note(when, fn)
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times = sorted(times)
+        if times[0] <= self._now:
+            raise SimulationError(
+                f"fan-out copy at t={times[0]} is not after current time t={self._now}"
+            )
+        self._fan_seq += 1
+        rest = iter(times)
+        heapq.heappush(
+            self._fan,
+            [next(rest), self._fan_seq, rest, iter([keys[i] for i in order]), fn, args],
+        )
 
     def stop(self) -> None:
         """Make :meth:`run` return after the current event finishes."""
@@ -327,15 +382,40 @@ class Simulator:
         # skip without touching their dead args.  The active bucket is popped
         # from the dict before draining, so same-instant events scheduled by
         # its callbacks land in a fresh bucket drained right after — keeping
-        # insertion order global.
+        # insertion order global.  The fan heap wins ties against the bucket
+        # heap (rule 2 of the module docstring).  A fan cursor advances in
+        # place — its time rewritten, then `heapreplace` sifts it down —
+        # *before* its delivery runs, so a send from inside the handler can
+        # never be the entry that gets replaced.
         self._stopped = False
         times = self._times
         buckets = self._buckets
+        fan = self._fan
         pop = heapq.heappop
+        replace = heapq.heapreplace
         executed = 0
         try:
             if until is None and max_events is None:
-                while times:
+                while True:
+                    if fan:
+                        entry = fan[0]
+                        when = entry[0]
+                        if not times or when <= times[0]:
+                            key = next(entry[3])
+                            nxt = next(entry[2], None)
+                            if nxt is None:
+                                pop(fan)
+                            else:
+                                entry[0] = nxt
+                                replace(fan, entry)
+                            self._now = when
+                            entry[4](key, *entry[5])
+                            executed += 1
+                            if self._stopped:
+                                return
+                            continue
+                    elif not times:
+                        break
                     when = pop(times)
                     bucket = buckets.pop(when)
                     self._now = when
@@ -366,7 +446,29 @@ class Simulator:
                             self._requeue(when, list(tail))
                             return
             elif max_events is None:
-                while times:
+                while True:
+                    if fan:
+                        entry = fan[0]
+                        when = entry[0]
+                        if not times or when <= times[0]:
+                            if when > until:
+                                self._now = until
+                                return
+                            key = next(entry[3])
+                            nxt = next(entry[2], None)
+                            if nxt is None:
+                                pop(fan)
+                            else:
+                                entry[0] = nxt
+                                replace(fan, entry)
+                            self._now = when
+                            entry[4](key, *entry[5])
+                            executed += 1
+                            if self._stopped:
+                                return
+                            continue
+                    elif not times:
+                        break
                     when = times[0]
                     if when > until:
                         self._now = until
@@ -399,7 +501,31 @@ class Simulator:
                             self._requeue(when, list(tail))
                             return
             else:
-                while times:
+                while True:
+                    if fan:
+                        entry = fan[0]
+                        when = entry[0]
+                        if not times or when <= times[0]:
+                            if until is not None and when > until:
+                                self._now = until
+                                return
+                            key = next(entry[3])
+                            nxt = next(entry[2], None)
+                            if nxt is None:
+                                pop(fan)
+                            else:
+                                entry[0] = nxt
+                                replace(fan, entry)
+                            self._now = when
+                            entry[4](key, *entry[5])
+                            executed += 1
+                            if self._stopped:
+                                return
+                            if executed > max_events:
+                                raise SimulationError(f"exceeded max_events={max_events}")
+                            continue
+                    elif not times:
+                        break
                     when = times[0]
                     if until is not None and when > until:
                         self._now = until
