@@ -85,7 +85,7 @@ class EquivocatingProposer(ByzantineBehavior):
         cfg = node.cfg
 
         def equivocating_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from .messages import VertexValMsg, vertex_val_statement
+            from .messages import VertexValMsg
 
             # Reversing the edge tuple changes the vertex digest while keeping
             # the vertex structurally valid — a minimal equivocation.
@@ -101,13 +101,7 @@ class EquivocatingProposer(ByzantineBehavior):
                 (vertex, [p for p in range(cfg.n) if p % 2 == 0]),
                 (twin, [p for p in range(cfg.n) if p % 2 == 1]),
             ):
-                signature = None
-                if rbc.mode == "two-round":
-                    signature = rbc._key.sign(
-                        vertex_val_statement(
-                            node.node_id, variant.round, variant.vertex_digest()
-                        )
-                    )
+                signature = rbc.val_signature(variant)
                 # Both variants advertise (and carry) the same block — the
                 # equivocation is in the vertex content, so recipients of
                 # either variant can ECHO and the split is maximal.
@@ -133,15 +127,9 @@ class WithholdingProposer(ByzantineBehavior):
         keep = self.receive_full
 
         def withholding_broadcast(vertex: Vertex, block: Block | None) -> None:
-            from .messages import VertexValMsg, vertex_val_statement
+            from .messages import VertexValMsg
 
-            signature = None
-            if rbc.mode == "two-round":
-                signature = rbc._key.sign(
-                    vertex_val_statement(
-                        node.node_id, vertex.round, vertex.vertex_digest()
-                    )
-                )
+            signature = rbc.val_signature(vertex)
             if block is None:
                 network.broadcast(node.node_id, VertexValMsg(vertex, None, signature))
                 return
@@ -161,21 +149,12 @@ def _prefix_broadcast_parts(rbc, vertex: Vertex, block: Block):
     proposers can replay the honest dissemination with perturbed timing or
     coverage.  Raises if the node is not in prefix mode."""
     from ..rbc.prefix import split_block
-    from .messages import vertex_val_statement
 
     if not rbc._prefix:
         raise ConsensusError("prefix dissemination requires rbc_mode='prefix'")
-    signature = None
-    if rbc.mode == "two-round":  # pragma: no cover - prefix is never two-round
-        signature = rbc._key.sign(
-            vertex_val_statement(rbc.node_id, vertex.round, vertex.vertex_digest())
-        )
-    cfg = rbc.schedule.cfg_at(vertex.round)
-    clan = cfg.clan(cfg.block_clan_of(rbc.node_id))
-    in_clan = [p for p in range(rbc.cfg.n) if p in clan]
-    outside = [p for p in range(rbc.cfg.n) if p not in clan]
+    in_clan, outside = rbc.clan_split(vertex.round)
     manifest, chunks = split_block(block, vertex.block_chunks)
-    return manifest, chunks, signature, in_clan, outside
+    return manifest, chunks, rbc.val_signature(vertex), in_clan, outside
 
 
 class SlowProposer(ByzantineBehavior):
@@ -200,16 +179,10 @@ class SlowProposer(ByzantineBehavior):
 
         def slow_broadcast(vertex: Vertex, block: Block | None) -> None:
             from ..rbc.prefix import BlockChunkMsg
-            from .messages import VertexValMsg, vertex_val_statement
+            from .messages import VertexValMsg
 
             if block is None or not rbc._prefix:
-                signature = None
-                if rbc.mode == "two-round":
-                    signature = rbc._key.sign(
-                        vertex_val_statement(
-                            node.node_id, vertex.round, vertex.vertex_digest()
-                        )
-                    )
+                signature = rbc.val_signature(vertex)
                 if block is None:
                     network.broadcast(
                         node.node_id, VertexValMsg(vertex, None, signature)
@@ -217,10 +190,7 @@ class SlowProposer(ByzantineBehavior):
                     return
                 # Non-prefix fallback: vertex on time, block only after the
                 # delay (everyone else pulls or waits).
-                cfg = rbc.schedule.cfg_at(vertex.round)
-                clan = cfg.clan(cfg.block_clan_of(node.node_id))
-                in_clan = [p for p in range(rbc.cfg.n) if p in clan]
-                outside = [p for p in range(rbc.cfg.n) if p not in clan]
+                in_clan, outside = rbc.clan_split(vertex.round)
                 network.multicast(
                     node.node_id, outside, VertexValMsg(vertex, None, signature)
                 )

@@ -160,23 +160,3 @@ class NoVoteCertificate:
         # Bitmap sized for a "large" committee; refined by the caller if needed.
         return sizes.HASH_SIZE + sizes.BLS_SIGNATURE_SIZE + 32
 
-
-@dataclass(slots=True)
-class VertexRequestMsg(Message):
-    """Pull request for a missing vertex (off the consensus critical path)."""
-
-    origin: NodeId
-    round: Round
-
-    def wire_size(self) -> int:
-        return sizes.HEADER_SIZE
-
-
-@dataclass(slots=True)
-class VertexResponseMsg(Message):
-    """Pull response carrying the full vertex."""
-
-    vertex: Vertex
-
-    def wire_size(self) -> int:
-        return self.vertex.wire_size() + sizes.HEADER_SIZE

@@ -13,9 +13,9 @@ from ..crypto.signatures import Pki
 from ..errors import BroadcastError
 from ..net.network import Network
 from ..types import NodeId, Round
-from .base import Membership, RbcProtocol, payload_digest
+from .base import Membership, payload_digest
 from .messages import ValMsg
-from .tribe_two_round import val_statement
+from .protocols import RbcProtocol, val_statement
 
 
 def silence(module: RbcProtocol) -> None:

@@ -15,7 +15,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.obs import Tracer
 from repro.obs.tracer import iter_spans
-from repro.rbc.bracha import BrachaRbc
+from repro.rbc.protocols import BrachaRbc
 from repro.sim import Simulator
 
 PHASES = ("rbc.val_to_echo", "rbc.echo_to_ready", "rbc.ready_to_deliver")

@@ -16,8 +16,7 @@ from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.rbc.base import Membership
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
-from repro.rbc.tribe_bracha import TribeBrachaRbc
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc
+from repro.rbc.protocols import TribeBrachaRbc, TribeTwoRoundRbc
 from repro.crypto.signatures import Pki
 from repro.sim import Simulator
 from repro.types import clan_max_faults, max_faults

@@ -1,7 +1,7 @@
 """Tests for classic Bracha RBC (the baseline primitive)."""
 
 
-from repro.rbc.bracha import BrachaRbc
+from repro.rbc.protocols import BrachaRbc
 from repro.rbc.messages import EchoMsg, ReadyMsg, ValMsg
 
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rbc.byzantine import send_equivocating_vals, silence
-from repro.rbc.optimistic import OptimisticRbc
-from repro.rbc.tribe_bracha import TribeBrachaRbc
+from repro.rbc.protocols import OptimisticRbc, TribeBrachaRbc
 
 DELTA = 0.05
 

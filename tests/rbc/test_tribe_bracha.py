@@ -1,9 +1,11 @@
 """Tests for the Fig. 2 tribe-assisted RBC (signature-free, 3 rounds)."""
 
 
-from repro.net.adversary import TargetedDelayAdversary
+from repro.net.adversary import DelayAdversary, TargetedDelayAdversary
+from repro.rbc.base import payload_digest
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
-from repro.rbc.tribe_bracha import TribeBrachaRbc
+from repro.rbc.messages import EchoMsg
+from repro.rbc.protocols import TribeBrachaRbc
 
 N = 10  # f = 3, quorum = 7
 CLAN = frozenset({0, 1, 2, 3, 4})  # n_c = 5, f_c = 2, clan_quorum = 3
@@ -88,12 +90,27 @@ def test_withholding_sender_triggers_pull(make_harness):
             assert h.deliveries[i][0].payload is None
 
 
-def test_pull_disabled_early_fetch_still_delivers(make_harness):
-    h = make_harness(TribeBrachaRbc, N, clan=CLAN, early_fetch=False)
+class _LaggingEchoes(DelayAdversary):
+    """Holds back every ECHO to ``victim`` except those from ``prompt``."""
+
+    def __init__(self, victim, prompt, extra):
+        self.victim, self.prompt, self.extra = victim, prompt, extra
+
+    def extra_delay(self, src, dst, msg, now):
+        if dst == self.victim and isinstance(msg, EchoMsg) and src != self.prompt:
+            return self.extra
+        return 0.0
+
+
+def test_pull_starts_at_ready_quorum_when_echoes_lag(make_harness):
+    """A clan member whose ECHO quorum lags its READY quorum starts the pull
+    at READY time, from the clan ECHOer it already knows."""
+    adversary = _LaggingEchoes(victim=3, prompt=0, extra=10.0)
+    h = make_harness(TribeBrachaRbc, N, clan=CLAN, adversary=adversary)
     send_withholding_vals(h.net, 9, 1, b"secret", h.membership, receive_full=[0, 1, 2])
-    h.run()
-    for i in CLAN:
-        assert h.deliveries[i] and h.deliveries[i][0].payload == b"secret"
+    h.run(until=5.0)  # well before the held-back ECHOs land
+    assert h.modules[3].instances[(9, 1)].echoes[payload_digest(b"secret")] == {0}
+    assert [d.payload for d in h.deliveries[3]] == [b"secret"]
 
 
 def test_equivocation_never_splits_clan(make_harness):

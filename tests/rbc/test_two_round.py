@@ -6,8 +6,7 @@ from repro.crypto.signatures import Signature
 from repro.net.adversary import TargetedDelayAdversary
 from repro.rbc.byzantine import send_equivocating_vals, send_withholding_vals
 from repro.rbc.messages import EchoMsg, ValMsg
-from repro.rbc.tribe_two_round import TribeTwoRoundRbc, echo_statement
-from repro.rbc.two_round import TwoRoundRbc
+from repro.rbc.protocols import TribeTwoRoundRbc, TwoRoundRbc, echo_statement
 
 N = 10
 CLAN = frozenset({0, 1, 2, 3, 4})
@@ -23,7 +22,7 @@ def test_two_round_validity(make_harness):
 
 def test_two_round_faster_than_bracha(make_harness):
     """Good case: cert-based delivery beats the 3-hop Bracha path."""
-    from repro.rbc.bracha import BrachaRbc
+    from repro.rbc.protocols import BrachaRbc
 
     latency = 0.1
     times = {}
