@@ -10,6 +10,8 @@ accepts on ``f_c + 1`` matching replies.
 
 from __future__ import annotations
 
+import zlib
+
 from ..committees.config import ClanConfig
 from ..consensus.deployment import Deployment
 from ..consensus.params import ProtocolParams
@@ -125,7 +127,8 @@ class SmrRuntime:
         clan = sorted(self.cfg.clan(client.clan_idx) & self.cfg.block_proposers)
         if not clan:
             raise ExecutionError(f"clan {client.clan_idx} has no block proposers")
-        proposer = clan[hash(txn.txn_id) % len(clan)]
+        # crc32, not hash(): str hashes are salted per process.
+        proposer = clan[zlib.crc32(txn.txn_id.encode()) % len(clan)]
         self.mempools[proposer].submit(txn)
         if self.tracer.enabled:
             # Trace roots open at submission: the id derives from the txn
