@@ -15,7 +15,7 @@ DET002 (error)    wall-clock / environment nondeterminism (``time.time``,
 DET003 (warning)  iteration over bare ``set``/``frozenset``/``dict.keys()``
                   without ``sorted(...)``; escalates to *error* when the loop
                   body sends, schedules, or draws randomness
-DET004 (error)    ``id()`` / ``hash()`` in comparisons or sort keys
+DET004 (error)    ``id()`` / ``hash()`` in comparisons, sort keys or index picks
 MSG001 (error)    ``Message`` subclass missing ``__slots__`` or ``wire_size``
 MSG002 (error)    assignment to a message's fields after it was passed to
                   ``send``/``multicast``/``broadcast`` in the same scope
@@ -300,17 +300,18 @@ class UnsortedSetIterRule:
 
 
 class IdentityOrderRule:
-    """DET004: ``id()`` / ``hash()`` must not decide comparisons or order.
+    """DET004: ``id()`` / ``hash()`` must not decide comparisons, order or
+    which element is picked.
 
     CPython object ids are allocation addresses and ``hash(str)`` is salted
     per process (PYTHONHASHSEED); both differ between runs and between
-    parallel workers.  Sort keys and equality checks built on them are
-    nondeterminism bombs.
+    parallel workers.  Sort keys, equality checks and index picks
+    (``xs[hash(k) % len(xs)]``) built on them are nondeterminism bombs.
     """
 
     rule_id = "DET004"
     severity = "error"
-    summary = "id()/hash() in a comparison or sort key"
+    summary = "id()/hash() in a comparison, sort key, index or % operand"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ctx.nodes(ast.Call):
@@ -341,13 +342,19 @@ class IdentityOrderRule:
 
     @staticmethod
     def _ordering_context(ctx: FileContext, node: ast.AST) -> str | None:
+        child = node
         for ancestor in ctx.ancestors(node):
             if isinstance(ancestor, ast.Compare):
                 return "in a comparison"
             if isinstance(ancestor, ast.keyword) and ancestor.arg == "key":
                 return "as a sort key"
+            if isinstance(ancestor, ast.BinOp) and isinstance(ancestor.op, ast.Mod):
+                return "as a `%` operand"
+            if isinstance(ancestor, ast.Subscript) and child is ancestor.slice:
+                return "as a subscript index"
             if isinstance(ancestor, ast.stmt):
                 return None
+            child = ancestor
         return None
 
 

@@ -204,6 +204,34 @@ def test_det004_bare_hash_keyword():
     assert "DET004" in rule_ids("order = sorted([1, 2], key=hash)\n")
 
 
+def test_det004_hash_picking_a_list_index():
+    findings = run(
+        """\
+        def route(txn_id, proposers):
+            return proposers[hash(txn_id) % len(proposers)]
+        """
+    )
+    assert [f.rule for f in findings] == ["DET004"]
+    assert "`%` operand" in findings[0].message
+    assert "DET004" in rule_ids("slot = table[id(obj)]\n")
+
+
+def test_det004_hash_dunder_and_subscripted_value_are_clean():
+    assert (
+        rule_ids(
+            """\
+            class Ctx:
+                def __hash__(self):
+                    return hash((self.trace_id, self.span_id))
+
+            def first(items):
+                return items[0] + hash(items)
+            """
+        )
+        == []
+    )
+
+
 def test_det004_field_sort_key_is_clean():
     assert (
         rule_ids(
