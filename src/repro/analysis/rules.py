@@ -20,6 +20,8 @@ MSG001 (error)    ``Message`` subclass missing ``__slots__`` or ``wire_size``
 MSG002 (error)    assignment to a message's fields after it was passed to
                   ``send``/``multicast``/``broadcast`` in the same scope
 SIM001 (warning)  float ``==`` / ``!=`` on simulated-time values
+SIM002 (error)    another object's scheduler calendar (``._buckets``,
+                  ``._times``, ``._fan``) touched outside ``repro/sim/``
 OBS001 (warning)  tracer emission inside a loop without an
                   ``if ...tracer.enabled:`` guard
 DAG001 (warning)  full-round DAG scan (``round_vertices`` /
@@ -553,6 +555,40 @@ class SimTimeEqualityRule:
         return None
 
 
+class SchedulerCalendarRule:
+    """SIM002: only the scheduler touches its own calendar.
+
+    ``Simulator`` keeps pending events in ``_buckets`` (instant → events),
+    ``_times`` (the heap of instants) and ``_fan`` (fan-out cursors).  Their
+    execution order rests on one placement rule — the tie invariant in
+    ``sim/scheduler.py`` — that ``Simulator.post``/``post_many`` apply and
+    the tie auditor observes.  Code outside ``repro/sim/`` that reaches into
+    those structures bypasses both; schedule through the public methods.
+    """
+
+    rule_id = "SIM002"
+    severity = "error"
+    summary = "scheduler calendar internals touched outside repro/sim/"
+
+    _CALENDAR = frozenset({"_buckets", "_times", "_fan"})
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        if "repro/sim/" in ctx.path:
+            return
+        for node in ctx.nodes(ast.Attribute):
+            if node.attr not in self._CALENDAR:
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                continue
+            yield ctx.finding(
+                self,
+                node,
+                f"`.{node.attr}` is the scheduler's private calendar; "
+                "inserting around Simulator.post/post_many skips the tie "
+                "invariant and the tie audit — schedule through them instead",
+            )
+
+
 #: Tracer emission methods; each call allocates a record (and an attrs dict).
 _TRACER_EMITS = frozenset({"counter", "gauge", "span", "anomaly", "begin", "end"})
 
@@ -790,6 +826,7 @@ def default_rules() -> list[Rule]:
         MessageShapeRule(),
         MutateAfterSendRule(),
         SimTimeEqualityRule(),
+        SchedulerCalendarRule(),
         UnguardedTracerRule(),
         UnbalancedSpanRule(),
         RoundScanInLoopRule(),

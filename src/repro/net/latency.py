@@ -72,10 +72,14 @@ class LatencyModel(ABC):
         ``base + draw() * jitter`` (draw = the model's RNG ``random`` bound
         method), or ``("mul", rows, jitter, draw)`` when it is
         ``rows[src][dst] * (1.0 + draw() * jitter)``.  The network inlines
-        the exact same floating-point expression per destination, so runs
-        are bit-identical to calling :meth:`delay` — including the RNG draw
-        order (exactly one draw per delivery, in destination order).  Models
-        with other formulas return None and keep the per-message call.
+        the arrival per destination, consuming the RNG exactly as
+        :meth:`delay` would (one draw per delivery, in destination order).
+        The inlined arrival expression is the canonical one, traced or not:
+        ``clock + base + draw() * jitter`` for ``"add"`` — which associates
+        differently from ``clock + delay()`` and may differ from it in the
+        last ulp — and ``clock + rows[src][dst] * (1.0 + draw() * jitter)``
+        for ``"mul"``, where the two agree.  Models with other formulas
+        return None and keep the per-message call.
         """
         return None
 

@@ -15,7 +15,6 @@ for ``(n-1)·ℓ/B`` seconds, whereas a clan proposer holds it for only
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from typing import Callable, Iterable
 
@@ -95,9 +94,9 @@ class Network:
             d < 0 for row in self._latency_table for d in row
         ):
             raise NetworkError("latency model produced a negative constant delay")
-        # Jittered built-in models expose their exact delay expression so the
-        # transmit loop can inline it (one RNG draw per delivery, identical
-        # float math — see LatencyModel.jitter_params).
+        # Jittered built-in models expose their delay expression so the
+        # transmit loop can inline it (one RNG draw per delivery; the inlined
+        # arrival is the canonical one — see LatencyModel.jitter_params).
         self._jitter_params = (
             None if self._latency_table is not None else self.latency.jitter_params(n)
         )
@@ -112,10 +111,10 @@ class Network:
         self.stats = NetworkStats(n)
         self._track_kinds = track_kinds
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # At full sampling every message takes the traced path (the pre-
-        # sampling behaviour).  Below 1.0 only messages stamped with a
-        # trace_ctx do; the rest keep the untraced fast path, which is what
-        # makes 1/k head sampling affordable at benchmark event rates.
+        # At full sampling every message is traced (the pre-sampling
+        # behaviour).  Below 1.0 only messages stamped with a trace_ctx are;
+        # the rest skip the per-hop metadata and the `net.hop` span, which is
+        # what makes 1/k head sampling affordable at benchmark event rates.
         self._trace_all = self._tracer.enabled and self._tracer.sample >= 1.0
         self._handlers: list[Handler | None] = [None] * n
         self._nic_free_at = [0.0] * n
@@ -129,25 +128,6 @@ class Network:
         self._freeze = _sanitizers.FreezeGuard() if _sanitizers.enabled() else None
         #: Per-node {message class: handler} tables (see :meth:`set_dispatch`).
         self._dispatch: list[dict | None] = [None] * n
-        # Deliveries can skip the CPU-queue/tracing/sanitizer layers entirely
-        # when none of them is configured: _deliver_fast fuses _deliver and
-        # _handle into one callback frame.
-        self._plain = cpu is None and self._freeze is None
-        # Delivery events can be appended straight into the simulator's
-        # calendar buckets — skipping the `post` call per delivery — when the
-        # arrival time is provably never in the past (built-in non-negative
-        # latency models, no adversarial extra delay) and the tie-order
-        # auditor doesn't need to observe insertions.
-        self._inline = (
-            self._null_adversary
-            and sim.tie_audit is None
-            and (self._latency_table is not None or self._jitter_params is not None)
-        )
-        # Multicasts additionally schedule their remote copies as one fan-out
-        # cursor (Simulator.post_fan) instead of one calendar entry each.
-        # Lossy links keep the per-copy path: fault draws interleave with
-        # the copies and may drop or duplicate them.
-        self._fan_out = self._inline and faults is None
 
     @property
     def freeze_guard(self):
@@ -246,36 +226,29 @@ class Network:
         self._transmit(src, range(self.n), msg)
 
     def _transmit(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
-        # The benchmark-critical loop of the whole simulator: every
-        # broadcast/multicast lands here, and every iteration schedules one
-        # delivery event.  Three layers are flattened away when possible:
-        # per-destination stats increments are batched into one update at the
-        # end, the latency model's delay expression is inlined (identical
-        # float math and RNG draw order — see LatencyModel.jitter_params),
-        # and delivery events are appended directly into the simulator's
-        # calendar buckets instead of going through `sim.post`.  On a
-        # multicast, remote copies whose arrival instant has no bucket yet
-        # are collected and handed to `sim.post_fan` as one cursor; that is
-        # exactly the copy set the scheduler's tie invariant admits.
+        # The benchmark-critical loop of the whole simulator: every send,
+        # multicast and broadcast lands here.  Per-destination stats
+        # increments are batched into one update at the end, and the latency
+        # model's delay expression is inlined (the canonical float math and
+        # RNG draw order — see LatencyModel.jitter_params).  The copies'
+        # arrival times are collected and handed to the scheduler in one
+        # call; `Simulator.post_many` alone decides which ride a fan-out
+        # cursor.  A traced message carries its per-hop metadata
+        # (dst, sent_at, nic_wait, tx, prop) as the copy's key, so tracing
+        # changes what is recorded, never when anything arrives.
         if self._crashed[src]:
             return
         if self._freeze is not None:
             self._freeze.on_send(msg)
-        if self._tracer.enabled and (
+        tracer = self._tracer
+        traced = tracer.enabled and (
             self._trace_all or getattr(msg, "trace_ctx", None) is not None
-        ):
-            # Arrival times are identical on both paths (same inlined delay
-            # expression, same RNG draw order), and buckets and fan-out
-            # cursors execute in the same global insertion order, so
-            # routing per-message by sampling decision cannot perturb the
-            # run — RunMetrics stays bit-identical at any sample rate.
-            self._transmit_traced(src, dsts, msg)
-            return
+        )
         sim = self.sim
         now = sim.now
         size = msg.wire_size_cached()
         stats = self.stats
-        per_byte = self._bytes_per_sec
+        tx = size / self._bytes_per_sec if self._bytes_per_sec is not None else 0.0
         faults = self.faults
         n = self.n
         crow = self._latency_table[src] if self._latency_table is not None else None
@@ -287,20 +260,10 @@ class Network:
             else:
                 jadd = jdata
         delay = self.latency.delay
-        deliver = self._deliver_fast if self._plain else self._deliver
-        inline = self._inline
-        if self._fan_out and len(dsts) > 1:
-            fan_times: list[float] | None = []
-            fan_dsts: list[NodeId] = []
-        else:
-            fan_times = None
-        if inline:
-            buckets = sim._buckets
-            times = sim._times
-            push = heapq.heappush
-        else:
-            post = sim.post
-            extra_delay = None if self._null_adversary else self.adversary.extra_delay
+        extra_delay = None if self._null_adversary else self.adversary.extra_delay
+        deliver = self._deliver if traced or self.cpu is not None else self._handle
+        times: list[float] = []
+        keys: list = []
         nic_free = self._nic_free_at[src]
         clock = now if now > nic_free else nic_free
         count = 0
@@ -310,84 +273,58 @@ class Network:
                 # but still event-driven so ordering semantics match remote
                 # deliveries.
                 count += 1
-                payload = (dst, src, msg, size)
-                if inline:
-                    bucket = buckets.get(now)
-                    if bucket is None:
-                        buckets[now] = [(deliver, payload)]
-                        push(times, now)
-                    else:
-                        bucket.append((deliver, payload))
-                else:
-                    post(now, deliver, payload)
+                times.append(now)
+                keys.append((dst, now, 0.0, 0.0, 0.0) if traced else dst)
                 continue
             if dst < 0 or dst >= n:
                 raise NetworkError(f"destination {dst} out of range (n={n})")
             count += 1
-            if per_byte is not None:
-                # The NIC serializes the copy whether or not the wire then
-                # loses it — loss happens in the network, not at the sender.
-                clock += size / per_byte
+            if traced:
+                nic_wait = clock - now
+            # The NIC serializes the copy whether or not the wire then loses
+            # it — loss happens in the network, not at the sender.
+            clock += tx
+            copies = 1
             if faults is not None:
                 copies = faults.copies(src, dst, msg, now)
                 if copies == 0:
                     stats.messages_dropped += 1
+                    if traced:
+                        tracer.counter(  # repro: allow[OBS001] — traced sends only
+                            "net.drop", node=src, dst=dst, kind=msg.kind(), size=size,
+                        )
                     continue
                 if copies > 1:
                     stats.messages_duplicated += copies - 1
-                for _ in range(copies):
-                    if crow is not None:
-                        arrive = clock + crow[dst]
-                    elif jrow is not None:
-                        arrive = clock + jrow[dst] * (1.0 + rand() * jit)
-                    elif jadd is not None:
-                        arrive = clock + jadd + rand() * jit
-                    else:
-                        arrive = clock + delay(src, dst)
-                    payload = (dst, src, msg, size)
-                    if inline:
-                        bucket = buckets.get(arrive)
-                        if bucket is None:
-                            buckets[arrive] = [(deliver, payload)]
-                            push(times, arrive)
-                        else:
-                            bucket.append((deliver, payload))
-                    else:
-                        if extra_delay is not None:
-                            arrive += extra_delay(src, dst, msg, now)
-                        post(arrive, deliver, payload)
-                continue
-            # Fault-free single copy: the common case, kept branch-light.
-            if crow is not None:
-                arrive = clock + crow[dst]
-            elif jrow is not None:
-                arrive = clock + jrow[dst] * (1.0 + rand() * jit)
-            elif jadd is not None:
-                arrive = clock + jadd + rand() * jit
-            else:
-                arrive = clock + delay(src, dst)
-            if inline:
-                bucket = buckets.get(arrive)
-                if bucket is not None:
-                    bucket.append((deliver, (dst, src, msg, size)))
-                elif fan_times is not None and arrive > now:
-                    fan_times.append(arrive)
-                    fan_dsts.append(dst)
+            # A while loop, not range(copies): building a range object per
+            # destination measurably slowed the fault-free single-copy case.
+            while copies:
+                copies -= 1
+                # `prop` is the drawn delay plus any adversarial extra; the
+                # arrival keeps its own association, (clock + delay) + extra.
+                if crow is not None:
+                    prop = crow[dst]
+                    arrive = clock + prop
+                elif jrow is not None:
+                    prop = jrow[dst] * (1.0 + rand() * jit)
+                    arrive = clock + prop
+                elif jadd is not None:
+                    draw = rand() * jit
+                    arrive = clock + jadd + draw
+                    prop = jadd + draw
                 else:
-                    buckets[arrive] = [(deliver, (dst, src, msg, size))]
-                    push(times, arrive)
-            else:
+                    prop = delay(src, dst)
+                    arrive = clock + prop
                 if extra_delay is not None:
-                    arrive += extra_delay(src, dst, msg, now)
-                post(arrive, deliver, (dst, src, msg, size))
-        if fan_times:
-            if len(fan_times) > 1:
-                sim.post_fan(deliver, fan_times, fan_dsts, (src, msg, size))
-            else:
-                # A lone remote copy is cheaper as a plain bucket entry.  No
-                # bucket can have appeared at its instant since it was sent:
-                # a later copy landing there would have joined the fan too.
-                sim.post(fan_times[0], deliver, (fan_dsts[0], src, msg, size))
+                    extra = extra_delay(src, dst, msg, now)
+                    arrive += extra
+                    prop += extra
+                times.append(arrive)
+                keys.append((dst, now, nic_wait, tx, prop) if traced else dst)
+        if len(times) == 1:
+            sim.post(times[0], deliver, (keys[0], src, msg, size))
+        elif times:
+            sim.post_many(deliver, times, keys, (src, msg, size))
         if count:
             stats.bytes_sent[src] += size * count
             stats.messages_sent[src] += count
@@ -397,93 +334,19 @@ class Network:
                 stats.messages_by_kind[kind] += count
         self._nic_free_at[src] = clock
 
-    def _transmit_traced(self, src: NodeId, dsts: Iterable[NodeId], msg: Message) -> None:
-        """Tracing twin of :meth:`_transmit`.
+    def _deliver(self, hop: NodeId | tuple, src: NodeId, msg: Message, size: int) -> None:
+        """Arrival through the CPU receive queue and/or the ``net.hop`` span.
 
-        Identical delivery semantics, but each hop carries a metadata tuple
-        ``(sent_at, nic_wait, tx, prop)`` so :meth:`_deliver` can emit the
-        full per-hop latency decomposition of the module docstring:
+        ``hop`` is the destination, or for a traced message the tuple
+        ``(dst, sent_at, nic_wait, tx, prop)`` from :meth:`_transmit`, which
+        completes the per-hop latency decomposition of the module docstring:
         NIC-queue wait → serialization → propagation → CPU-queue wait → CPU.
         """
-        sim = self.sim
-        now = sim.now
-        size = msg.wire_size_cached()
-        stats = self.stats
-        if self._track_kinds:
-            kind = msg.kind()
-        per_byte = self._bytes_per_sec
-        faults = self.faults
-        nic_free = self._nic_free_at[src]
-        clock = now if now > nic_free else nic_free
-        for dst in dsts:
-            if not 0 <= dst < self.n:
-                raise NetworkError(f"destination {dst} out of range (n={self.n})")
-            stats.bytes_sent[src] += size
-            stats.messages_sent[src] += 1
-            if self._track_kinds:
-                stats.bytes_by_kind[kind] += size
-                stats.messages_by_kind[kind] += 1
-            if dst == src:
-                sim.post(now, self._deliver, (dst, src, msg, size, (now, 0.0, 0.0, 0.0)))
-                continue
-            nic_wait = clock - now
-            tx = 0.0
-            if per_byte is not None:
-                tx = size / per_byte
-                clock += tx
-            copies = 1 if faults is None else faults.copies(src, dst, msg, now)
-            if copies == 0:
-                stats.messages_dropped += 1
-                self._tracer.counter(  # repro: allow[OBS001] — traced dispatch only
-                    "net.drop", node=src, dst=dst, kind=msg.kind(), size=size,
-                )
-                continue
-            if copies > 1:
-                stats.messages_duplicated += copies - 1
-            for _ in range(copies):
-                prop = self.latency.delay(src, dst)
-                prop += self.adversary.extra_delay(src, dst, msg, now)
-                arrive = clock + prop
-                sim.post(
-                    arrive, self._deliver, (dst, src, msg, size, (now, nic_wait, tx, prop))
-                )
-        self._nic_free_at[src] = clock
-
-    def _deliver_fast(self, dst: NodeId, src: NodeId, msg: Message, size: int) -> None:
-        """Fused :meth:`_deliver` + :meth:`_handle` for the plain path.
-
-        Used when no CPU model, no freeze sanitizer, and no tracer can
-        intervene between arrival and handling — one callback frame per
-        delivery instead of two.  Nodes that installed a dispatch table
-        (:meth:`set_dispatch`) additionally skip their catch-all handler's
-        isinstance chain.  Semantics match the slow pair exactly: crashed
-        destinations drop silently, and a node with no handler receives
-        nothing (no stats recorded).  Arguments lead with ``dst`` (here and
-        in the slow pair) because a fan-out cursor calls ``fn(key, *args)``
-        with the destination as its key.
-        """
+        traced = hop.__class__ is tuple
+        dst = hop[0] if traced else hop
         if self._crashed[dst]:
             return
-        table = self._dispatch[dst]
-        if table is not None:
-            fn = table.get(msg.__class__)
-            if fn is not None:
-                self.stats.bytes_received[dst] += size
-                fn(src, msg)
-                return
-        handler = self._handlers[dst]
-        if handler is None:
-            return
-        self.stats.bytes_received[dst] += size
-        handler(src, msg)
-
-    def _deliver(
-        self, dst: NodeId, src: NodeId, msg: Message, size: int, meta: tuple | None = None
-    ) -> None:
-        if self._crashed[dst]:
-            return
-        handler = self._handlers[dst]
-        if handler is None:
+        if self._handlers[dst] is None:
             return
         cpu_wait = 0.0
         cost = 0.0
@@ -498,8 +361,8 @@ class Network:
                 cpu_wait = start - now
                 done = start + cost
                 self._cpu_free_at[dst] = done
-        if meta is not None and self._tracer.enabled:
-            sent_at, nic_wait, tx, prop = meta
+        if traced:
+            _, sent_at, nic_wait, tx, prop = hop
             ctx = getattr(msg, "trace_ctx", None)
             if ctx is not None:
                 self._tracer.ctx_span(
@@ -538,11 +401,27 @@ class Network:
         self._handle(dst, src, msg, size)
 
     def _handle(self, dst: NodeId, src: NodeId, msg: Message, size: int) -> None:
+        """Hand a message to its node; the delivery callback of plain sends.
+
+        Crashed destinations drop silently, and a node with no handler
+        receives nothing (no stats recorded).  Nodes that installed a
+        dispatch table (:meth:`set_dispatch`) skip their catch-all handler's
+        isinstance chain.  Arguments lead with ``dst`` because a fan-out
+        cursor calls ``fn(key, *args)`` with the destination as its key.
+        """
         if self._crashed[dst]:
             return
         if self._freeze is not None:
             self._freeze.on_deliver(msg)
-        self.stats.bytes_received[dst] += size
+        table = self._dispatch[dst]
+        if table is not None:
+            fn = table.get(msg.__class__)
+            if fn is not None:
+                self.stats.bytes_received[dst] += size
+                fn(src, msg)
+                return
         handler = self._handlers[dst]
-        if handler is not None:
-            handler(src, msg)
+        if handler is None:
+            return
+        self.stats.bytes_received[dst] += size
+        handler(src, msg)

@@ -13,7 +13,7 @@ than the classic one-entry-per-heap-item design:
 
 Jittered multicasts defeat the batching: every copy lands at its own
 instant, so an ``n``-way multicast would cost ``n`` buckets and ``n`` heap
-round trips.  :meth:`Simulator.post_fan` schedules such a multicast as one
+round trips.  :meth:`Simulator.post_many` schedules such a multicast as one
 *fan-out cursor* instead: its copies are sorted by arrival (stably, so equal
 times keep the caller's order) and a second heap, ``_fan``, holds one entry
 per in-flight multicast, advanced with ``heapreplace`` as each copy fires.
@@ -26,7 +26,8 @@ active one.  The fan heap keeps the same order under one invariant:
 
 1. a copy joins a cursor only if its arrival is later than ``now`` and no
    bucket exists at that instant when it is sent (otherwise it is appended
-   to the bucket, behind everything already there), and
+   to the bucket, behind everything already there) — :meth:`post_many`
+   alone makes that placement, and
 2. at equal time, every fan delivery runs before any bucket event; fan
    deliveries at the same instant run by (multicast sequence, caller order).
 
@@ -139,7 +140,7 @@ class Simulator:
         #: inserts bare ``(fn, args)`` tuples (no handle, no cancellation).
         self._buckets: dict[float, list] = {}
         #: Min-heap of fan-out cursors, one per in-flight multicast (see
-        #: :meth:`post_fan`).  Each cursor is a list ``[when, seq, later
+        #: :meth:`post_many`).  Each cursor is a list ``[when, seq, later
         #: times, keys, fn, args]``, updated in place as it advances.
         self._fan: list[list] = []
         self._fan_seq = 0
@@ -229,9 +230,10 @@ class Simulator:
     def post(self, when: float, fn: Callable[..., Any], args: tuple) -> None:
         """Hot-path variant of :meth:`schedule_at`: no handle, no cancellation.
 
-        Used by the network for message deliveries (millions per run); the
-        EventHandle and entry-list allocations of :meth:`schedule_at` are
-        measurable there.
+        Used by the network for unicast deliveries (hundreds of thousands
+        per run); the EventHandle and entry-list allocations of
+        :meth:`schedule_at` are measurable there.  Multicasts go through
+        :meth:`post_many`.
         """
         if when < self._now:
             raise SimulationError(
@@ -246,34 +248,57 @@ class Simulator:
         if self._audit is not None:
             self._audit.note(when, fn)
 
-    def post_fan(
+    def post_many(
         self, fn: Callable[..., Any], times: list[float], keys: list, args: tuple
     ) -> None:
-        """Schedule ``fn(keys[i], *args)`` at ``times[i]`` for every ``i`` as
-        one fan-out cursor: a single heap entry for the whole multicast.
+        """Schedule ``fn(keys[i], *args)`` at ``times[i]`` for every ``i``.
 
-        Copies run in time order; equal times keep their order in ``keys``.
-        The caller guarantees the tie invariant of the module docstring:
-        every time is later than :attr:`now` and had no bucket when the copy
-        was sent.  Per copy the cursor holds just a float and a key — no
-        event tuple — which keeps wide multicasts cheap for the allocator
-        and the garbage collector alike.
+        Takes every copy of one transmit and places each under the tie
+        invariant of the module docstring, in caller order: a copy whose
+        instant already has a bucket is appended to it, one at :attr:`now`
+        opens a bucket, and later ones join a single fan-out cursor (sorted
+        stably by time, so equal times keep their order in ``keys``).  A
+        cursor of one copy becomes a plain bucket entry, and a copy before
+        :attr:`now` raises :class:`SimulationError`.  Per cursor copy
+        only a float and a key are held — no event tuple — which keeps wide
+        multicasts cheap for the allocator and the garbage collector alike.
         """
         if self._audit is not None:
             for when in times:
                 self._audit.note(when, fn)
-        order = sorted(range(len(times)), key=times.__getitem__)
-        times = sorted(times)
-        if times[0] <= self._now:
-            raise SimulationError(
-                f"fan-out copy at t={times[0]} is not after current time t={self._now}"
+        now = self._now
+        buckets = self._buckets
+        fan_times = []
+        fan_keys = []
+        for when, key in zip(times, keys):
+            bucket = buckets.get(when)
+            if bucket is not None:
+                bucket.append((fn, (key, *args)))
+            elif when > now:
+                fan_times.append(when)
+                fan_keys.append(key)
+            elif when < now:
+                raise SimulationError(
+                    f"cannot schedule at t={when} before current time t={now}"
+                )
+            else:
+                buckets[when] = [(fn, (key, *args))]
+                heapq.heappush(self._times, when)
+        if len(fan_times) > 1:
+            order = sorted(range(len(fan_times)), key=fan_times.__getitem__)
+            fan_times.sort()
+            self._fan_seq += 1
+            rest = iter(fan_times)
+            heapq.heappush(
+                self._fan,
+                [next(rest), self._fan_seq, rest, iter([fan_keys[i] for i in order]), fn, args],
             )
-        self._fan_seq += 1
-        rest = iter(times)
-        heapq.heappush(
-            self._fan,
-            [next(rest), self._fan_seq, rest, iter([keys[i] for i in order]), fn, args],
-        )
+        elif fan_times:
+            # No bucket can have appeared at a lone cursor copy's instant:
+            # a later copy landing there would have joined the cursor too.
+            when = fan_times[0]
+            buckets[when] = [(fn, (fan_keys[0], *args))]
+            heapq.heappush(self._times, when)
 
     def stop(self) -> None:
         """Make :meth:`run` return after the current event finishes."""

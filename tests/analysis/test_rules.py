@@ -407,6 +407,53 @@ def test_sim001_tolerance_helper_module_is_exempt():
     assert rule_ids(source, path="src/repro/sim/other.py") == ["SIM001"]
 
 
+# -- SIM002: scheduler calendar touched from outside repro/sim/ ---------------
+
+
+def test_sim002_flags_calendar_access_on_another_object():
+    findings = run(
+        """\
+        def transmit(self, when, event):
+            sim = self.sim
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                heapq.heappush(sim._times, when)
+            return len(self.sim._fan)
+        """
+    )
+    assert [(f.rule, f.severity, f.line) for f in findings] == [
+        ("SIM002", "error", 3),
+        ("SIM002", "error", 5),
+        ("SIM002", "error", 6),
+    ]
+
+
+def test_sim002_own_attributes_and_public_api_are_clean():
+    assert (
+        rule_ids(
+            """\
+            class Calendar:
+                def __init__(self):
+                    self._buckets = {}
+                    self._times = []
+
+            def transmit(sim, when, fn, args):
+                sim.post(when, fn, args)
+            """
+        )
+        == []
+    )
+
+
+def test_sim002_scheduler_package_is_exempt():
+    source = """\
+    def drain(sim):
+        return sim._buckets.pop(sim._times[0])
+    """
+    assert rule_ids(source, path="src/repro/sim/scheduler.py") == []
+    assert rule_ids(source, path="src/repro/net/network.py") == ["SIM002", "SIM002"]
+
+
 # -- OBS001: unguarded tracer emission in a loop ------------------------------
 
 

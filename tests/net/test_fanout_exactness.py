@@ -1,17 +1,14 @@
 """Fan-out cursors must reproduce the bucket path's execution order exactly.
 
-A multicast scheduled as one fan-out cursor (``Simulator.post_fan``) and the
-same multicast scheduled as one calendar entry per copy must execute the same
-``(time, callback, args)`` sequence and report the same ``pending_events`` at
-every pause.  The generated runs mix range and arbitrary-order multicasts
-with unicasts and loopbacks, ``post``/``schedule_at`` at exactly colliding
-instants (jitter-free latency makes ties everywhere), cancellations,
-``stop()`` from inside a delivery, ``run(until=...)`` landing on an arrival,
-``max_events`` overruns and ``run_until_idle``.
-
-Both runs force inline insertion on and set the fan flag explicitly, so the
-comparison is live under ``REPRO_SANITIZE=1`` too (where the network would
-otherwise disable both).
+``Simulator.post_many`` places the copies of one transmit itself, sending
+some to a fan-out cursor.  The oracle is the reference placement — one
+``post`` per copy — and the two must execute the same ``(time, callback,
+args)`` sequence and report the same ``pending_events`` at every pause.
+The generated runs mix range and arbitrary-order multicasts with unicasts
+and loopbacks, ``post``/``schedule_at`` at exactly colliding instants
+(jitter-free latency makes ties everywhere), cancellations, ``stop()`` from
+inside a delivery, ``run(until=...)`` landing on an arrival, ``max_events``
+overruns and ``run_until_idle``.
 """
 
 from __future__ import annotations
@@ -26,6 +23,17 @@ from repro.net.network import Network
 from repro.sim.scheduler import Simulator
 
 STEP = 0.05
+
+
+def reference_post_many(self, fn, times, keys, args):
+    """The oracle placement: every copy its own ``post``, in caller order."""
+    for when, key in zip(times, keys):
+        self.post(when, fn, (key, *args))
+
+
+class _ReferenceSimulator(Simulator):
+    __slots__ = ()
+    post_many = reference_post_many
 
 
 class _Msg(Message):
@@ -61,11 +69,10 @@ def _next_time(sim: Simulator) -> float | None:
 
 def _execute(scenario: dict, fan: bool) -> list:
     n = scenario["n"]
-    sim = Simulator(compact_threshold=scenario["compact"])
+    sim_class = Simulator if fan else _ReferenceSimulator
+    sim = sim_class(compact_threshold=scenario["compact"])
     net = Network(sim, n, latency=_latency(scenario["latency"], n),
                   bandwidth_bps=scenario["bandwidth"])
-    net._inline = True
-    net._fan_out = fan
     log: list = []
     reactions = scenario["reactions"]
     tags = [0]
@@ -190,22 +197,23 @@ def test_fan_matches_bucket_path(scenario):
 
 
 def test_fan_path_is_exercised(monkeypatch):
-    """Guard against a vacuous comparison: the forced-on run must actually
-    schedule multicasts through the fan heap, ties included."""
+    """Guard against a vacuous comparison: the run under ``post_many`` must
+    actually create fan-out cursors, ties included."""
     scenario = {
         "n": 5, "latency": "ties", "bandwidth": None, "compact": 1024, "hops": 2,
         "reactions": [("broadcast", 0), ("post", 1), ("multicast", 3)],
         "seeds": [(0, 0, 0), (0, 1, 2), (2, 2, 1)], "phases": [("until_next", 3)],
     }
-    sim_fans = []
-    real = Simulator.post_fan
+    cursors = []
+    real = Simulator.post_many
 
     def counting(self, fn, times, keys, args):
-        sim_fans.append(len(times))
+        before = self._fan_seq
         real(self, fn, times, keys, args)
+        cursors.append(self._fan_seq - before)
 
-    monkeypatch.setattr(Simulator, "post_fan", counting)
+    monkeypatch.setattr(Simulator, "post_many", counting)
     on = _execute(scenario, fan=True)
     monkeypatch.undo()
-    assert sim_fans and min(sim_fans) >= 2
+    assert sum(cursors) > 0
     assert on == _execute(scenario, fan=False)

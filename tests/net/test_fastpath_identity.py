@@ -1,12 +1,14 @@
 """The network/scheduler fast paths must be pure optimizations.
 
-The hot delivery pipeline has four layered shortcuts — fused delivery
-(``_deliver_fast``), per-class dispatch tables, inline calendar-bucket
-insertion, and fan-out cursors (one scheduler entry per multicast) — each
-gated by eligibility flags computed in ``Network.__init__``.  These tests
-force every shortcut OFF and assert the resulting :class:`RunMetrics` are
-**bit-identical** to the default run: the fast paths may change how events
-are scheduled, never what the simulation computes.
+Three shortcuts sit on the hot delivery pipeline: ``Simulator.post_many``
+places a transmit's copies on fan-out cursors (one scheduler entry per
+multicast), plain deliveries skip ``Network._deliver`` (``_handle`` runs
+straight from the calendar), and ``_handle`` jumps through per-class
+dispatch tables.  These tests force all three OFF (one ``post`` per copy,
+every delivery through ``_deliver``, catch-all handlers only) and assert
+the resulting :class:`RunMetrics` are **bit-identical** to the default
+run: the fast paths may change how events are scheduled, never what the
+simulation computes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ import pytest
 import repro.net.network as netmod
 from repro.bench.runner import ExperimentConfig, _simulate
 from repro.net.adversary import TargetedDelayAdversary
+from repro.net.cpu import CpuModel
 from repro.net.faults import LossyLink
+from repro.net.message import Message
+from repro.obs import Tracer
 from repro.sim.scheduler import Simulator
+
+from .test_fanout_exactness import reference_post_many
 
 #: Jittered geo latency (RNG draw per delivery), a lossy/duplicating point
 #: so the fault-copies branch is exercised on both paths, a sparse-edge
@@ -54,35 +61,48 @@ def test_fast_vs_slow_metrics_identical():
 
         def no_fastpath_init(self, *args, _real=real_init, **kwargs):
             _real(self, *args, **kwargs)
-            self._plain = False
-            self._inline = False
-            self._fan_out = False
+            if self.cpu is None:
+                # A zero-cost CPU model routes every delivery via _deliver.
+                self.cpu = CpuModel()
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netmod.Network, "__init__", no_fastpath_init)
+            mp.setattr(Simulator, "post_many", reference_post_many)
+            # No dispatch tables: every node's catch-all handler runs.
+            mp.setattr(netmod.Network, "set_dispatch", lambda self, node_id, table: None)
             slow = asdict(_simulate(config))
         assert fast == slow, f"fast-path divergence for {config}"
 
 
-def test_fan_disabled_under_sanitizers(monkeypatch):
-    """REPRO_SANITIZE installs the tie auditor, which must observe every
-    insertion — the fan (like inline insertion) switches off."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    net = netmod.Network(Simulator(), 4)
-    assert net.freeze_guard is not None
-    assert not net._fan_out
+class _Blob(Message):
+    __slots__ = ()
+
+    def wire_size(self) -> int:
+        return 100
 
 
-def test_fan_disabled_with_adversary_or_faults():
-    adversary = TargetedDelayAdversary({1}, extra=0.01)
-    assert not netmod.Network(Simulator(), 4, adversary=adversary)._fan_out
-    assert not netmod.Network(Simulator(), 4, faults=LossyLink(0.1, seed=1))._fan_out
-
-
-def test_fan_active_on_plain_runs():
+@pytest.mark.parametrize("setup", ["sanitize", "adversary", "lossy", "traced"])
+def test_multicast_rides_a_cursor(setup, monkeypatch):
+    """Placement lives in the scheduler alone: no network configuration
+    keeps a multicast's remote copies off the fan heap."""
+    kwargs = {}
+    if setup == "sanitize":
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+    elif setup == "adversary":
+        kwargs["adversary"] = TargetedDelayAdversary({1}, extra=0.01)
+    elif setup == "lossy":
+        kwargs["faults"] = LossyLink(0.1, seed=1)
+    else:
+        kwargs["tracer"] = Tracer()
     sim = Simulator()
-    net = netmod.Network(sim, 4)
-    if sim.tie_audit is not None:  # suite running under REPRO_SANITIZE=1
-        assert not net._fan_out
-        return
-    assert net._fan_out
+    net = netmod.Network(sim, 8, **kwargs)
+    if setup == "sanitize":
+        assert sim.tie_audit is not None and net.freeze_guard is not None
+    delivered = []
+    for node in range(8):
+        net.register(node, lambda src, msg, node=node: delivered.append(node))
+    net.multicast(0, range(1, 8), _Blob())
+    assert sim._fan_seq == 1 and len(sim._fan) == 1
+    sim.run()
+    assert len(delivered) == 7 - net.stats.messages_dropped
+    assert delivered

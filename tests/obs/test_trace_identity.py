@@ -1,10 +1,12 @@
 """Tracing must be a pure observer: RunMetrics are bit-identical.
 
-``Network._transmit`` routes a message through ``_transmit_traced`` exactly
-when tracing is on for that message (always at sample=1.0, per-message at
-1/k).  Both paths draw the same RNG values and produce the same arrival
-times, so turning tracing on — at any sample rate — may never perturb what
-the simulation computes.
+``Network._transmit`` is the one send loop for traced and untraced messages
+alike: tracing (always at sample=1.0, per-message at 1/k) only attaches the
+per-hop tuple ``(dst, sent_at, nic_wait, tx, prop)`` as the copy's key.  The
+arrival expression, the RNG draws and the scheduler placement are the same
+either way, so turning tracing on — at any sample rate, under a jittered
+latency model or a delay adversary — may never perturb what the simulation
+computes.
 """
 
 from __future__ import annotations
@@ -12,25 +14,41 @@ from __future__ import annotations
 from repro.bench.metrics import measure_run
 from repro.committees.config import ClanConfig
 from repro.consensus.deployment import Deployment
+from repro.net.adversary import PartialSynchronyAdversary
+from repro.net.latency import UniformLatencyModel
 from repro.obs import Tracer
 from repro.smr.mempool import SyntheticWorkload
 from repro.smr.runtime import SmrRuntime
 
 
-def _deployment_metrics(tracer) -> dict:
+def _deployment_metrics(tracer, **network) -> dict:
     cfg = ClanConfig.single_clan(12, 6, seed=3)
     workload = SyntheticWorkload(txns_per_proposal=8)
-    dep = Deployment(cfg, make_block=workload.make_block, seed=7, tracer=tracer)
+    dep = Deployment(cfg, make_block=workload.make_block, seed=7, tracer=tracer, **network)
     dep.start()
     dep.run(until=4.0)
     return measure_run(dep, workload, warmup=0.5, end=4.0).__dict__
 
 
+#: Network inputs, each a factory (the models are stateful RNG consumers):
+#: the default, a jittered uniform model (its delay inlined as
+#: ``clock + base + draw * jitter``) and a pre-GST delay adversary (its
+#: extra added after the latency, ``(clock + delay) + extra``).
+NETWORKS = {
+    "default": dict,
+    "uniform-jitter": lambda: {"latency": UniformLatencyModel(0.05, jitter=0.02, seed=4)},
+    "partial-synchrony": lambda: {
+        "adversary": PartialSynchronyAdversary(gst=2.0, max_extra=0.3, delta=0.5, seed=5)
+    },
+}
+
+
 def test_sampled_tracing_preserves_run_metrics():
-    base = _deployment_metrics(None)
-    for sample in (1.0, 1 / 16, 0.0):
-        traced = _deployment_metrics(Tracer(sample=sample))
-        assert traced == base, f"tracing at sample={sample} perturbed the run"
+    for name, network in NETWORKS.items():
+        base = _deployment_metrics(None, **network())
+        for sample in (1.0, 1 / 16, 0.0):
+            traced = _deployment_metrics(Tracer(sample=sample), **network())
+            assert traced == base, f"tracing at sample={sample} perturbed the {name} run"
 
 
 def _smr_digests(tracer) -> tuple:

@@ -102,6 +102,30 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_post_many_places_each_copy():
+    sim = Simulator()
+    log = []
+
+    def record(key, tag):
+        log.append((sim.now, key, tag))
+
+    sim.run(until=1.0)
+    sim.post(2.0, record, ("old", "post"))
+    # 2.0 joins the existing bucket, 1.0 (= now) opens one, the two 3.0
+    # copies share one cursor; a lone later copy becomes a plain bucket.
+    sim.post_many(record, [2.0, 3.0, 1.0, 3.0], ["a", "b", "c", "d"], ("many",))
+    sim.post_many(record, [1.0, 5.0], ["e", "f"], ("many",))
+    assert sim._fan_seq == 1 and sim.pending_events == 7
+    sim.run()
+    assert log == [
+        (1.0, "c", "many"), (1.0, "e", "many"), (2.0, "old", "post"),
+        (2.0, "a", "many"), (3.0, "b", "many"), (3.0, "d", "many"),
+        (5.0, "f", "many"),
+    ]
+    with pytest.raises(SimulationError):
+        sim.post_many(record, [6.0, 4.5], ["x", "y"], ("many",))
+
+
 def test_stop_halts_run():
     sim = Simulator()
     fired = []
