@@ -15,7 +15,7 @@ variant and asks the acceptance question directly:
 
 Each n=150 point is ~15-20M simulator events (~5-7 min of wall clock per
 variant on one core) — this file is for local/nightly runs, not CI; the CI
-smoke point lives in ``scripts/bench_perf.py``.
+smoke point is the ``sparse_smoke`` section of ``scripts/bench_perf.py``.
 """
 
 from repro.bench.runner import ExperimentConfig, _simulate

@@ -1,40 +1,34 @@
 #!/usr/bin/env python3
-"""Perf benchmark: core speed (events/sec) + parallel-engine speedup.
+"""Perf gate: simulator host speed on fixed configs, against ``BENCH_perf.json``.
 
-Produces ``BENCH_perf.json`` with
+The report (``--out``, default ``perf.json``) has four sections:
 
-* **core speed** — simulator events per wall second on the smoke
-  configuration (best of ``--trials``), comparable against the
-  pre-optimization figure via ``--baseline-eps``;
-* **grid timing** — one fig5a-shaped (protocol × load) grid run serially and
-  through the parallel engine (``--jobs``), with the identical-results check
-  the engine guarantees (merge by grid index, never completion order).
+* **core_speed** — events per wall second on the smoke config
+  (:data:`repro.bench.profiling.SMOKE_CONFIG`), best of 3 runs;
+* **grid** — a fig5a-shaped (protocol × load) grid run serially and through
+  the parallel engine with ``min(4, cpus)`` workers, with the identical-results
+  check the engine guarantees (merge by grid index, never completion order).
+  Wall-clock speedup only materializes with real cores, so the speedup gate
+  applies only on >= 4 CPUs.  On a single CPU the section is skipped and
+  records its reason: running the same grid twice to show a ~1.0x ratio
+  measures nothing;
+* **sparse_smoke** — events/sec at n=150 with sparse edges, capped at a fixed
+  simulator-event budget, so one data point exercises the bitmap edge store
+  and sparse selection at the paper's largest scale;
+* **tracing** — the events/sec cost of full causal tracing at 1/16 head
+  sampling on the smoke config.
 
-Wall-clock speedup only materializes with real cores: ``--check`` asserts
-``speedup >= --min-speedup`` **only when the machine has >= 4 CPUs** (a
-single-core runner legitimately shows ~1x; the determinism check still runs).
-On a **single-CPU machine the grid comparison is skipped entirely** —
-running the same grid twice to show a ~1.0x ratio measures nothing — and
-``BENCH_perf.json`` records ``"skipped"`` with the reason instead.
-
-The report also carries a **tribe-scale smoke point**: events/sec at n=150
-with sparse edges, capped at a fixed simulator-event budget so one data
-point exercises the bitmap edge store and sparse selection at the paper's
-largest scale without paying for a full n=150 round.
-
-``--compare BENCH_perf.json`` additionally gates against a **committed
-baseline** with explicit tolerances: the parallel grid must not be slower
-than serial (speedup >= 1.0, on >= 4-CPU machines), results must stay
-identical, core events/sec must not regress more than
-``--regression-tolerance`` (default 15%) below the committed figure, and the
-n=150 sparse smoke must stay within ``--sparse-tolerance`` (default 35% —
-loose: big-n runs wander more across machines) of its committed figure.
+``--check`` fails when the grid results differ from serial, the grid speedup
+is below 2.5x on >= 4 CPUs, core events/sec is more than 15% below the
+committed ``BENCH_perf.json``, the n=150 smoke is more than 35% below it
+(loose: big-n runs wander more across machines), or tracing costs more than
+5% after 3 re-measurements.  The smoke's simulated metrics are pinned
+exactly by ``perfbench/run.py --self-test``, not here.
 
 Usage::
 
-    python scripts/bench_perf.py --out BENCH_perf.json --jobs 4
-    python scripts/bench_perf.py --check --jobs 4 --min-speedup 2.5
-    python scripts/bench_perf.py --check --compare BENCH_perf.json --jobs auto
+    python scripts/bench_perf.py --check                # gate; report in perf.json
+    python scripts/bench_perf.py --out BENCH_perf.json  # refresh the baseline
 """
 
 import argparse
@@ -50,13 +44,29 @@ from repro.bench.experiments import figure_geometry, point_config  # noqa: E402
 from repro.bench.parallel import (  # noqa: E402
     clear_memory_cache,
     get_pool,
-    resolve_jobs,
     run_grid,
     shutdown_pool,
 )
 from repro.bench.profiling import SMOKE_CONFIG  # noqa: E402
 from repro.bench.runner import ExperimentConfig, _simulate  # noqa: E402
-from repro.errors import SimulationError  # noqa: E402
+from repro.errors import EventBudgetExceeded  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
+
+BASELINE = os.path.join(REPO_ROOT, "BENCH_perf.json")
+#: Smoke runs per best-of-N events/sec figure.
+TRIALS = 3
+MAX_JOBS = 4
+#: The grid speedup gate: at least MIN_SPEEDUP on >= SPEEDUP_CPUS cores.
+MIN_SPEEDUP = 2.5
+SPEEDUP_CPUS = 4
+#: Allowed fractional events/sec drop below the committed figures.
+CORE_TOLERANCE = 0.15
+SPARSE_TOLERANCE = 0.35
+TRACE_SAMPLE = 1 / 16
+MAX_TRACING_OVERHEAD = 0.05
+#: Timing ratios are noisy on shared runners: full re-measurements of the
+#: tracing overhead before declaring a regression.
+TRACING_RETRIES = 3
 
 #: Tribe-scale smoke: n=150 (the paper's largest sweep point) with sparse
 #: edges.  A full n=150 round is ~5M simulator events, so the run is capped
@@ -74,33 +84,31 @@ SPARSE_SMOKE_CONFIG = ExperimentConfig(
 SPARSE_SMOKE_EVENTS = 2_000_000
 
 
-def measure_core_speed(trials: int) -> dict:
-    """Best-of-N events/sec on the smoke config (uncached, in-process)."""
-    eps_trials = []
-    sim_events = 0
-    for _ in range(trials):
+def smoke_events_per_sec(make_tracer=lambda: None) -> tuple[list[float], int]:
+    """Events/sec of TRIALS uncached in-process smoke runs, and their event count."""
+    rates = []
+    for _ in range(TRIALS):
+        tracer = make_tracer()
         start = time.perf_counter()
-        metrics = _simulate(SMOKE_CONFIG)
+        metrics = _simulate(SMOKE_CONFIG, tracer=tracer)
         wall = time.perf_counter() - start
-        sim_events = metrics.sim_events
-        eps_trials.append(round(metrics.sim_events / wall, 1))
-    return {
-        "sim_events": sim_events,
-        "trials": eps_trials,
-        "best": max(eps_trials),
-    }
+        rates.append(round(metrics.sim_events / wall, 1))
+    return rates, metrics.sim_events
 
 
-def measure_sparse_smoke(max_events: int = SPARSE_SMOKE_EVENTS) -> dict:
+def measure_core_speed() -> dict:
+    rates, sim_events = smoke_events_per_sec()
+    return {"sim_events": sim_events, "trials": rates, "best": max(rates)}
+
+
+def measure_sparse_smoke() -> dict:
     """Events/sec at tribe scale: one event-capped n=150 sparse-edge run."""
     start = time.perf_counter()
     try:
-        metrics = _simulate(SPARSE_SMOKE_CONFIG, max_events=max_events)
-        events = metrics.sim_events
-    except SimulationError:
-        # The cap fired mid-run — the expected outcome; the budget itself is
-        # the event count.
-        events = max_events
+        events = _simulate(SPARSE_SMOKE_CONFIG, max_events=SPARSE_SMOKE_EVENTS).sim_events
+    except EventBudgetExceeded:
+        # The cap fired mid-run — the expected end; the budget is the count.
+        events = SPARSE_SMOKE_EVENTS
     wall = time.perf_counter() - start
     return {
         "n": SPARSE_SMOKE_CONFIG.n,
@@ -109,6 +117,25 @@ def measure_sparse_smoke(max_events: int = SPARSE_SMOKE_EVENTS) -> dict:
         "wall_s": round(wall, 3),
         "events_per_sec": round(events / wall, 1),
     }
+
+
+def measure_tracing() -> dict:
+    """Best-of-N untraced vs traced events/sec, re-measured while over budget."""
+    def traced():
+        return Tracer(sample=TRACE_SAMPLE)
+
+    # Warm both paths so neither pays one-time setup costs in the timed runs.
+    _simulate(SMOKE_CONFIG)
+    _simulate(SMOKE_CONFIG, tracer=traced())
+    attempts = []
+    for _ in range(1 + TRACING_RETRIES):
+        bare = max(smoke_events_per_sec()[0])
+        with_tracer = max(smoke_events_per_sec(traced)[0])
+        overhead = round(1.0 - with_tracer / bare, 4)
+        attempts.append({"untraced": bare, "traced": with_tracer, "overhead": overhead})
+        if overhead <= MAX_TRACING_OVERHEAD:
+            break
+    return {"sample": TRACE_SAMPLE, "attempts": attempts, "overhead": overhead}
 
 
 def perf_grid():
@@ -121,16 +148,14 @@ def perf_grid():
     ]
 
 
-def measure_grid(jobs: int, cpus: int) -> dict:
+def measure_grid(cpus: int) -> dict:
     if cpus < 2:
-        # Running the same grid twice on one core to report a ~1.0x ratio
-        # measures nothing; record the skip so --compare knows why the
-        # section is absent instead of silently passing.
         return {
             "skipped": (
                 f"parallel-vs-serial comparison needs >= 2 CPUs (machine has {cpus})"
             )
         }
+    jobs = min(MAX_JOBS, cpus)
     configs = perf_grid()
     clear_memory_cache()
     start = time.perf_counter()
@@ -139,8 +164,7 @@ def measure_grid(jobs: int, cpus: int) -> dict:
     clear_memory_cache()
     # The pool is persistent across grids; standing it up is a once-per-
     # process cost, so fork it outside the timed section.
-    if jobs > 1:
-        get_pool(jobs)
+    get_pool(jobs)
     start = time.perf_counter()
     fanned = run_grid(configs, jobs=jobs, cache=False)
     parallel_wall = time.perf_counter() - start
@@ -150,166 +174,113 @@ def measure_grid(jobs: int, cpus: int) -> dict:
         "jobs": jobs,
         "serial_wall_s": round(serial_wall, 3),
         "parallel_wall_s": round(parallel_wall, 3),
-        "speedup": round(serial_wall / parallel_wall, 2) if parallel_wall else 0.0,
+        "speedup": round(serial_wall / parallel_wall, 2),
         "identical_results": serial == fanned,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_perf.json")
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument(
-        "--jobs", default=str(min(4, os.cpu_count() or 1)),
-        help="workers for the parallel grid run: an integer or 'auto' "
-        "(default: min(4, cpus))",
-    )
-    parser.add_argument(
-        "--baseline-eps", type=float, default=None,
-        help="pre-optimization events/sec on the same machine (for the ratio)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail on non-identical results, or (with >= 4 CPUs) low speedup",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.5,
-        help="required grid speedup when the machine has >= 4 CPUs",
-    )
-    parser.add_argument(
-        "--compare", default=None, metavar="BASELINE_JSON",
-        help="committed BENCH_perf.json to gate against: fail on parallel "
-        "speedup < 1.0 (>= 4 CPUs), non-identical results, or core "
-        "events/sec more than --regression-tolerance below the baseline",
-    )
-    parser.add_argument(
-        "--regression-tolerance", type=float, default=0.15,
-        help="allowed fractional core-speed regression vs --compare (0.15 = 15%%)",
-    )
-    parser.add_argument(
-        "--sparse-tolerance", type=float, default=0.35,
-        help="allowed fractional regression of the n=150 sparse smoke vs "
-        "--compare (loose by design: big-n runs wander more across machines)",
-    )
-    parser.add_argument(
-        "--skip-sparse-smoke", action="store_true",
-        help="omit the n=150 sparse-edge smoke point (and its gate)",
-    )
-    args = parser.parse_args(argv)
-
-    cpus = os.cpu_count() or 1
-    jobs = resolve_jobs(args.jobs, source="--jobs")
-    baseline = None
-    if args.compare:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-    core = measure_core_speed(args.trials)
-    grid = measure_grid(jobs, cpus)
-    sparse = None if args.skip_sparse_smoke else measure_sparse_smoke()
-    result = {
-        "cpus": cpus,
-        "core_speed": core,
-        "grid": grid,
-        # Skipped sections are recorded with their reason, never omitted:
-        # --compare on another machine must be able to tell "not measured
-        # here" apart from "baseline predates the section".
-        "sparse_smoke": (
-            sparse if sparse is not None else {"skipped": "--skip-sparse-smoke"}
-        ),
-    }
-    if args.baseline_eps:
-        result["core_speed"]["baseline"] = args.baseline_eps
-        result["core_speed"]["vs_baseline"] = round(core["best"] / args.baseline_eps, 3)
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+def report(result: dict) -> None:
+    core, grid = result["core_speed"], result["grid"]
+    sparse, tracing = result["sparse_smoke"], result["tracing"]
     print(
         f"core speed: {core['best']:,.0f} events/sec "
         f"(trials: {', '.join(f'{t:,.0f}' for t in core['trials'])})"
     )
-    grid_skipped = "skipped" in grid
-    if grid_skipped:
+    if "skipped" in grid:
         print(f"grid: skipped — {grid['skipped']}")
     else:
         print(
             f"grid ({grid['points']} points): serial {grid['serial_wall_s']:.1f} s, "
             f"jobs={grid['jobs']} {grid['parallel_wall_s']:.1f} s "
-            f"-> {grid['speedup']:.2f}x on {cpus} CPU(s), "
+            f"-> {grid['speedup']:.2f}x on {result['cpus']} CPU(s), "
             f"identical={grid['identical_results']}"
         )
-    if sparse is not None:
+    print(
+        f"sparse smoke (n={sparse['n']}, {sparse['edge_mode']} edges): "
+        f"{sparse['events_per_sec']:,.0f} events/sec "
+        f"({sparse['events']:,} events in {sparse['wall_s']:.1f} s)"
+    )
+    for number, attempt in enumerate(tracing["attempts"], 1):
         print(
-            f"sparse smoke (n={sparse['n']}, {sparse['edge_mode']} edges): "
-            f"{sparse['events_per_sec']:,.0f} events/sec "
-            f"({sparse['events']:,} events in {sparse['wall_s']:.1f} s)"
+            f"tracing attempt {number}: untraced {attempt['untraced']:,.0f}, "
+            f"traced at 1/{1 / tracing['sample']:.0f} {attempt['traced']:,.0f} "
+            f"events/sec -> overhead {attempt['overhead']:+.1%}"
         )
-    print(f"wrote {args.out}")
 
+
+def gate(result: dict, baseline: dict) -> list[str]:
+    """Every failed check as one line naming its section."""
     failures = []
-    if (args.check or baseline is not None) and not grid_skipped:
+    grid = result["grid"]
+    if "skipped" in grid:
+        print(f"grid gate skipped — {grid['skipped']}")
+    else:
         if not grid["identical_results"]:
-            failures.append("parallel grid results differ from serial")
-    if args.check and not grid_skipped:
-        if cpus >= 4 and grid["speedup"] < args.min_speedup:
+            failures.append("grid: parallel results differ from serial")
+        if result["cpus"] >= SPEEDUP_CPUS and grid["speedup"] < MIN_SPEEDUP:
             failures.append(
-                f"speedup {grid['speedup']:.2f}x < {args.min_speedup:.2f}x "
-                f"on a {cpus}-CPU machine"
+                f"grid: speedup {grid['speedup']:.2f}x < {MIN_SPEEDUP:.2f}x "
+                f"on a {result['cpus']}-CPU machine"
             )
-    if baseline is not None:
-        # Explicit regression tolerances against the committed baseline.
-        # Skipped sections — on either side — are announced, never silently
-        # passed over: a 1-CPU runner comparing against a many-core baseline
-        # must still exit 0, but say which gates it could not apply.
-        if grid_skipped:
-            print(f"compare: parallel-grid gate skipped — {grid['skipped']}")
-        elif baseline.get("grid", {}).get("skipped"):
-            print(
-                "compare: baseline grid was skipped "
-                f"({baseline['grid']['skipped']}); gating the current grid "
-                "on its own speedup only"
-            )
-        if not grid_skipped and cpus >= 4 and grid["speedup"] < 1.0:
-            failures.append(
-                f"parallel engine slower than serial: speedup "
-                f"{grid['speedup']:.2f}x < 1.0x on a {cpus}-CPU machine"
-            )
-        committed = baseline.get("core_speed", {}).get("best")
-        if committed:
-            floor = committed * (1.0 - args.regression_tolerance)
-            if core["best"] < floor:
-                failures.append(
-                    f"core speed {core['best']:,.0f} events/sec is more than "
-                    f"{args.regression_tolerance:.0%} below the committed "
-                    f"{committed:,.0f} (floor {floor:,.0f})"
-                )
-            else:
-                print(
-                    f"baseline: {core['best']:,.0f} vs committed "
-                    f"{committed:,.0f} events/sec (floor {floor:,.0f}) — ok"
-                )
-        committed_sparse = baseline.get("sparse_smoke", {}).get("events_per_sec")
-        if sparse is None or not committed_sparse:
-            side = "current run" if sparse is None else "baseline"
-            print(f"compare: sparse-smoke gate skipped — no data in {side}")
-        if sparse is not None and committed_sparse:
-            floor = committed_sparse * (1.0 - args.sparse_tolerance)
-            if sparse["events_per_sec"] < floor:
-                failures.append(
-                    f"n={sparse['n']} sparse smoke {sparse['events_per_sec']:,.0f} "
-                    f"events/sec is more than {args.sparse_tolerance:.0%} below "
-                    f"the committed {committed_sparse:,.0f} (floor {floor:,.0f})"
-                )
-            else:
-                print(
-                    f"sparse smoke: {sparse['events_per_sec']:,.0f} vs committed "
-                    f"{committed_sparse:,.0f} events/sec (floor {floor:,.0f}) — ok"
-                )
+    for label, section, key, tolerance in (
+        ("core speed", "core_speed", "best", CORE_TOLERANCE),
+        ("n=150 sparse smoke", "sparse_smoke", "events_per_sec", SPARSE_TOLERANCE),
+    ):
+        measured = result[section][key]
+        committed = baseline[section][key]
+        floor = committed * (1.0 - tolerance)
+        line = (
+            f"{label}: {measured:,.0f} events/sec vs committed {committed:,.0f} "
+            f"(floor {floor:,.0f}, -{tolerance:.0%})"
+        )
+        if measured < floor:
+            failures.append(line)
+        else:
+            print(f"{line} — ok")
+    tracing = result["tracing"]
+    if tracing["overhead"] > MAX_TRACING_OVERHEAD:
+        failures.append(
+            f"tracing: overhead {tracing['overhead']:.1%} events/sec > "
+            f"{MAX_TRACING_OVERHEAD:.0%} after {len(tracing['attempts'])} attempts"
+        )
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="perf.json", help="report path")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="fail on any gate, against the committed BENCH_perf.json",
+    )
+    args = parser.parse_args(argv)
+
+    baseline = None
+    if args.check:
+        # Read before measuring: --out may be the baseline itself.
+        with open(BASELINE) as fh:
+            baseline = json.load(fh)
+    cpus = os.cpu_count() or 1
+    result = {
+        "cpus": cpus,
+        "core_speed": measure_core_speed(),
+        "grid": measure_grid(cpus),
+        "sparse_smoke": measure_sparse_smoke(),
+        "tracing": measure_tracing(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    report(result)
+    print(f"wrote {args.out}")
+    if baseline is None:
+        return 0
+    failures = gate(result, baseline)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    if args.check or baseline is not None:
-        print("OK: perf checks passed")
+    print("OK: perf checks passed")
     return 0
 
 

@@ -37,7 +37,7 @@ class RunMetrics:
     total_bytes: int
     total_messages: int
     #: Simulator events executed during the run — the deterministic
-    #: denominator of the events/sec core-speed metric (scripts/bench_smoke).
+    #: denominator of the events/sec core-speed metric (scripts/bench_perf).
     sim_events: int = 0
     #: Per-message-kind traffic; empty unless the run tracked kinds
     #: (``Network(track_kinds=True)`` / ``ExperimentConfig.track_kinds``).

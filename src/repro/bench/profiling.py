@@ -6,7 +6,7 @@
 * the top-N hot functions (sorted by ``tottime`` — where the interpreter
   actually spends its cycles), and
 * the run's core-speed number (simulator events per wall second), the same
-  metric ``scripts/bench_smoke.py`` gates in CI.
+  metric ``scripts/bench_perf.py`` gates in CI.
 
 With ``--trace`` the run also carries a :class:`~repro.obs.Tracer`, so the
 report correlates the wall-clock hot spots with the *simulated-time* per-hop
@@ -32,9 +32,9 @@ from .metrics import RunMetrics
 from .reporting import format_table
 from .runner import ExperimentConfig, _simulate
 
-#: The canonical perf-smoke configuration (also the default profile target):
+#: The canonical perf smoke configuration (also the default profile target):
 #: small enough for <60 s wall anywhere, big enough to exercise RBC, commit,
-#: and the NIC queueing model.  ``scripts/bench_smoke.py`` runs exactly this.
+#: and the NIC queueing model.  ``scripts/bench_perf.py`` times exactly this.
 SMOKE_CONFIG = ExperimentConfig(
     protocol="single-clan",
     n=12,
@@ -47,7 +47,7 @@ SMOKE_CONFIG = ExperimentConfig(
 
 #: Named profile targets: name → (description, config).
 PROFILE_TARGETS: dict[str, tuple[str, ExperimentConfig]] = {
-    "smoke": ("the CI perf-smoke run (single-clan n=12/6, load 250)", SMOKE_CONFIG),
+    "smoke": ("the CI perf smoke (single-clan n=12/6, load 250)", SMOKE_CONFIG),
     "sailfish": (
         "baseline Sailfish at the smoke geometry (all-to-all traffic)",
         ExperimentConfig(

@@ -17,6 +17,10 @@ from ..errors import CryptoError
 from ..types import NodeId
 
 
+#: Bound of each :class:`Pki`'s memo of valid tags.
+TAG_CACHE_SIZE = 16384
+
+
 def _tag(secret: bytes, message_digest: bytes) -> bytes:
     return hashlib.sha256(secret + message_digest).digest()[:16]
 
@@ -56,7 +60,7 @@ class Pki:
     False
     """
 
-    def __init__(self, n: int, seed: int = 0, tag_cache_size: int = 16384) -> None:
+    def __init__(self, n: int, seed: int = 0) -> None:
         if n < 1:
             raise CryptoError(f"PKI needs at least one party, got {n}")
         self.n = n
@@ -69,7 +73,7 @@ class Pki:
         # aggregate — so valid tags are memoized.  The LRU bound keeps memory
         # flat over long runs; the cache is per-Pki, so distinct deployments
         # (different seeds) never share entries.
-        self._tag_cache = lru_cache(maxsize=tag_cache_size)(self._compute_tag)
+        self._tag_cache = lru_cache(maxsize=TAG_CACHE_SIZE)(self._compute_tag)
 
     def _compute_tag(self, signer: NodeId, message_digest: bytes) -> bytes:
         return _tag(self._keys[signer].secret, message_digest)

@@ -19,6 +19,13 @@ class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 
 
+class EventBudgetExceeded(SimulationError):
+    """A run executed more events than its ``max_events`` safety valve allows.
+
+    A subclass of its own so an event-capped benchmark can treat the cap as
+    its expected end without also swallowing a real scheduler fault."""
+
+
 class NetworkError(ReproError):
     """Invalid use of the simulated network (unknown node, bad size, ...)."""
 

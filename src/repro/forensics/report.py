@@ -57,15 +57,19 @@ class Forensics:
 
 def build_forensics(source: str | Iterable[dict[str, Any]]) -> Forensics:
     """Build the report model from a trace path or an iterable of dicts."""
-    meta = None
     if isinstance(source, str):
         source = TraceFile(source)
-    if isinstance(source, TraceFile):
-        meta = source.meta
-    elif not isinstance(source, (list, tuple)):
-        source = list(source)  # two passes below: must be re-iterable
-    index = build_provenance(source)
-    anomalies = [row for row in source if row.get("type") == "anomaly"]
+    meta = source.meta if isinstance(source, TraceFile) else None
+    anomalies: list[dict[str, Any]] = []
+
+    def rows():
+        # One pass: anomalies are picked off on the way into the index.
+        for row in source:
+            if row.get("type") == "anomaly":
+                anomalies.append(row)
+            yield row
+
+    index = build_provenance(rows())
     return Forensics(index, anomalies, meta)
 
 

@@ -54,7 +54,7 @@ from operator import length_hint
 from typing import Any, Callable
 
 from ..analysis import sanitizers as _sanitizers
-from ..errors import SimulationError
+from ..errors import EventBudgetExceeded, SimulationError
 from ..obs.tracer import NULL_TRACER
 
 
@@ -353,8 +353,9 @@ class Simulator:
             until: stop once simulated time would exceed this instant; the
                 clock is advanced to ``until`` exactly.  Events at ``until``
                 itself are executed.
-            max_events: safety valve — raise :class:`SimulationError` if more
-                than this many events execute (runaway-protocol guard).
+            max_events: safety valve — raise :class:`EventBudgetExceeded` (a
+                :class:`SimulationError`) if more than this many events
+                execute (runaway-protocol guard).
         """
         tracer = self._tracer
         if not tracer.enabled:
@@ -547,7 +548,7 @@ class Simulator:
                             if self._stopped:
                                 return
                             if executed > max_events:
-                                raise SimulationError(f"exceeded max_events={max_events}")
+                                raise EventBudgetExceeded(f"exceeded max_events={max_events}")
                             continue
                     elif not times:
                         break
@@ -570,7 +571,7 @@ class Simulator:
                             self._requeue(when, list(tail))
                             if self._stopped:
                                 return
-                            raise SimulationError(f"exceeded max_events={max_events}")
+                            raise EventBudgetExceeded(f"exceeded max_events={max_events}")
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:

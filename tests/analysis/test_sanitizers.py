@@ -5,6 +5,8 @@ scenario twice — sanitized and not — and require bit-identical results:
 the sanitizers must observe, never perturb.
 """
 
+import json
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -16,6 +18,11 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.sim.rng import make_rng
+
+SMOKE_BASELINE = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir,
+    "benchmarks", "baselines", "smoke.json",
+)
 
 
 @dataclass(slots=True)
@@ -178,6 +185,20 @@ def test_bench_smoke_bit_identical_under_sanitize(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitized = run_experiment(SMOKE_CONFIG)
     assert sanitized == plain
+
+    # The smoke's simulated results are pinned, rounded as the file stores
+    # them: any drift is a behavioural change of the protocol stack.
+    with open(SMOKE_BASELINE) as fh:
+        pinned = json.load(fh)
+    measured = {
+        "throughput_tps": round(plain.throughput_tps, 2),
+        "avg_latency_s": round(plain.avg_latency_s, 4),
+        "p95_latency_s": round(plain.p95_latency_s, 4),
+        "committed_txns": plain.committed_txns,
+        "rounds": plain.rounds,
+        "sim_events": plain.sim_events,
+    }
+    assert measured == {key: pinned[key] for key in measured}
 
 
 def test_chaos_smoke_bit_identical_under_sanitize(monkeypatch):

@@ -11,7 +11,7 @@ from repro.forensics.report import (
     main,
     waterfall_report,
 )
-from repro.obs import Tracer
+from repro.obs import TraceFile, Tracer
 from repro.smr.runtime import SmrRuntime
 
 
@@ -139,3 +139,18 @@ def test_dropped_records_warn_in_report(smoke_tracer, tmp_path):
     forensics = build_forensics(str(path))
     assert forensics.meta["dropped"] > 0
     assert "WARNING" in format_report(forensics)
+
+
+def test_build_forensics_reads_the_trace_once(trace_path):
+    class CountingTraceFile(TraceFile):
+        iterations = 0
+
+        def __iter__(self):
+            CountingTraceFile.iterations += 1
+            return super().__iter__()
+
+    trace = CountingTraceFile(trace_path)
+    forensics = build_forensics(trace)
+    assert CountingTraceFile.iterations == 1
+    assert forensics.meta == trace.meta
+    assert forensics.index.txns

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import EventBudgetExceeded, SimulationError
 from repro.sim import Simulator
 
 
@@ -151,8 +151,15 @@ def test_max_events_guard():
         sim.schedule(0.1, loop)
 
     sim.schedule(0.1, loop)
-    with pytest.raises(SimulationError):
+    with pytest.raises(EventBudgetExceeded):
         sim.run(max_events=100)
+    assert issubclass(EventBudgetExceeded, SimulationError)
+
+    # The fan-out cursor path has its own valve site.
+    fan = Simulator()
+    fan.post_many(lambda key: None, [1.0, 2.0, 3.0], [0, 1, 2], ())
+    with pytest.raises(EventBudgetExceeded):
+        fan.run(max_events=1)
 
 
 def test_processed_events_counter():
